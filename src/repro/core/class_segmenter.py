@@ -9,13 +9,19 @@ conservative rank-sum significance test (§3.3).  Only the region since the
 last reported change point is scored, which keeps the model small and the
 per-point cost linear in the window size.
 
-Ingestion is *chunked*: :meth:`ClaSS.process` consumes arrays of
-observations, feeds the streaming k-NN through its batched
-``update_many`` path between scoring boundaries (respecting
-``scoring_interval``), and scores exactly at the stream positions the
-point-wise path would — so batched and point-wise ingestion report identical
-change points.  :meth:`ClaSS.update` is the single-element case of the same
-implementation.
+Ingestion is *chunked*: :meth:`ClaSS.process` feeds each chunk of
+observations to one batched ``update_many`` generator of the streaming k-NN
+and scores between its yields, exactly at the stream positions the
+point-wise path would (every ``scoring_interval`` observations) — so batched
+and point-wise ingestion report identical change points.
+:meth:`ClaSS.update` is the single-element case of the same implementation.
+
+A scoring pass does only the work its threshold requires: before scoring a
+region of at least :data:`PRUNE_MIN_SPLITS` splits, a cheap upper bound on
+its best score (:func:`repro.core.scoring.split_score_bound`) is checked
+against ``score_threshold``.  A pass that provably cannot reach it reports
+nothing, exactly as its full profile would, and that profile is computed
+only if :attr:`ClaSS.last_profile` or :attr:`ClaSS.current_score` is read.
 
 Typical use::
 
@@ -38,17 +44,22 @@ Typical use::
 from __future__ import annotations
 
 import collections
+import functools
+import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from repro.core.cross_val import (
     CROSS_VAL_IMPLEMENTATIONS,
+    breakpoints_from_thresholds,
     cross_val_scores_from_thresholds,
     predictions_for_split,
+    valid_splits,
 )
 from repro.core.kernels import get_backend
 from repro.core.profile import ClaSPProfile
+from repro.core.scoring import split_score_bound
 from repro.core.significance import (
     DEFAULT_SAMPLE_SIZE,
     DEFAULT_SIGNIFICANCE_LEVEL,
@@ -66,6 +77,22 @@ DEFAULT_WINDOW_SIZE = 10_000
 #: the per-chunk Python overhead, small enough to keep detection latency and
 #: memory granularity negligible against the 10k default window.
 DEFAULT_CHUNK_SIZE = 1_024
+
+#: Fewest splits for which a scoring pass is first bounded against the score
+#: threshold; below it the bound costs about as much as the full pass.
+PRUNE_MIN_SPLITS = 1_024
+
+#: Margin of the bound below ``score_threshold``: it covers the rounding of
+#: the float scores, so a pruned pass never hides a split at the threshold.
+PRUNE_MARGIN = 1e-9
+
+
+def _score_pruned_pass(kernels, score, pred_zero_from, exclusion, **placement) -> ClaSPProfile:
+    """The full profile of a pruned pass, from the breakpoints its bound used."""
+    n_subsequences = pred_zero_from.shape[0]
+    splits = valid_splits(n_subsequences, exclusion)
+    scores = kernels.fused_split_scores(pred_zero_from, splits, n_subsequences, score)
+    return ClaSPProfile(scores=scores, splits=splits, **placement)
 
 
 def capped_window_size(window_size: int, n_timepoints: int) -> int:
@@ -248,7 +275,8 @@ class ClaSS:
         self._width: int | None = self.subsequence_width
         self._n_seen = 0
         self._state = SegmentationState()
-        self._last_profile: ClaSPProfile | None = None
+        # a ClaSPProfile, or for a pruned pass a partial that computes it
+        self._last_profile: ClaSPProfile | functools.partial | None = None
         self._warmup_end: int | None = None
 
     # ------------------------------------------------------------------ #
@@ -277,7 +305,13 @@ class ClaSS:
 
     @property
     def last_profile(self) -> ClaSPProfile | None:
-        """The most recently computed ClaSP (None before the first scoring)."""
+        """The ClaSP of the most recent scoring pass (None before the first scoring).
+
+        A pass pruned by the score-threshold bound is scored here, on the
+        first read, with the same kernel and the same result.
+        """
+        if isinstance(self._last_profile, functools.partial):
+            self._last_profile = self._last_profile()
         return self._last_profile
 
     @property
@@ -302,12 +336,12 @@ class ClaSS:
     def process(self, values: np.ndarray, chunk_size: int | None = None) -> np.ndarray:
         """Stream a finite batch of values in chunks; return the CPs detected now.
 
-        Values are fed to the streaming k-NN through its batched
-        ``update_many`` path in runs of at most ``chunk_size`` observations,
-        cut so that scoring happens exactly at the stream positions where the
-        point-wise path would score (every ``scoring_interval`` observations).
-        The reported change points are therefore identical for every chunk
-        size, including ``chunk_size=1``.
+        Each run of at most ``chunk_size`` values is fed to one batched
+        ``update_many`` generator of the streaming k-NN, which is paused to
+        score exactly at the stream positions where the point-wise path would
+        score (every ``scoring_interval`` observations).  The reported change
+        points are therefore identical for every chunk size, including
+        ``chunk_size=1``.
 
         Parameters
         ----------
@@ -353,16 +387,9 @@ class ClaSS:
                 if change_point is not None:
                     detected.append(change_point)
                 continue
-            interval = self.scoring_interval
-            until_boundary = interval - (self._n_seen % interval)
-            take = min(until_boundary, chunk_size, n - position)
-            self._ingest_many(values[position : position + take])
-            self._n_seen += take
+            take = min(chunk_size, n - position)
+            self._ingest_and_score(values[position : position + take], detected)
             position += take
-            if (self._n_seen % interval) == 0:
-                change_point = self._maybe_score()
-                if change_point is not None:
-                    detected.append(change_point)
         return np.asarray(detected, dtype=np.int64)
 
     def finalise(self) -> np.ndarray:
@@ -382,11 +409,11 @@ class ClaSS:
         return self.change_points
 
     def score_now(self) -> ClaSPProfile | None:
-        """Force a scoring pass outside the regular interval (for inspection)."""
+        """Force a full scoring pass outside the regular interval (for inspection)."""
         if self._knn is None:
             return None
         self._maybe_score(force=True)
-        return self._last_profile
+        return self.last_profile
 
     def finalize(self) -> np.ndarray:
         """Protocol spelling of :meth:`finalise`."""
@@ -417,7 +444,7 @@ class ClaSS:
     @property
     def current_score(self) -> float | None:
         """Best split score of the most recent ClaSP (None before the first scoring)."""
-        profile = self._last_profile
+        profile = self.last_profile
         if profile is None or profile.is_empty:
             return None
         return float(profile.global_maximum()[1])
@@ -530,27 +557,61 @@ class ClaSS:
             mode=self.knn_mode,
             kernel_backend=self.kernel_backend,
         )
-        self._ingest_many(prefix)
+        # at most window_size values: the fresh k-NN evicts none of them
+        collections.deque(self._knn.update_many(prefix), maxlen=0)  # C-speed drain
         self._prefix = []
         if self._warmup_end is None:
             # a re-warm-up after reset_warmup keeps the original position so
             # the events() history stays append-only for stream consumers
             self._warmup_end = self._n_seen
 
-    def _ingest_many(self, values: np.ndarray) -> None:
-        """Feed a chunk to the k-NN and keep the last-CP offset aligned."""
-        assert self._knn is not None
-        evictions_before = self._knn.n_evicted
-        collections.deque(self._knn.update_many(values), maxlen=0)  # C-speed drain
-        slid = self._knn.n_evicted - evictions_before
-        if slid:
-            # the window slid: the unsegmented region moved left by `slid`
-            self._state.last_change_point_offset = max(
-                0, self._state.last_change_point_offset - slid
-            )
+    def _ingest_and_score(self, values: np.ndarray, detected: list[int]) -> None:
+        """Feed a run to one k-NN generator, scoring between its yields.
+
+        The ``update_many`` generator is drained up to each scoring boundary
+        (every ``scoring_interval`` stream positions) and paused there while
+        the region is scored, so the run pays the generator's set-up once
+        however often it is scored.  Evictions since the last pause shift the
+        unsegmented region left.  When a change point makes
+        ``relearn_width`` rebuild the k-NN, the old generator is closed and
+        the rest of the run goes to the new k-NN.  Appends the detected
+        change points to ``detected``.
+        """
+        interval = self.scoring_interval
+        n = values.shape[0]
+        position = 0
+        while position < n:
+            knn = self._knn
+            # validates the whole rest of the run before the k-NN mutates
+            steps = knn.update_many(values[position:])
+            evicted = knn.n_evicted
+            while position < n and self._knn is knn:
+                take = min(interval - self._n_seen % interval, n - position)
+                collections.deque(itertools.islice(steps, take), maxlen=0)
+                self._n_seen += take
+                position += take
+                slid = knn.n_evicted - evicted
+                if slid:
+                    # the window slid: the unsegmented region moved left
+                    evicted += slid
+                    self._state.last_change_point_offset = max(
+                        0, self._state.last_change_point_offset - slid
+                    )
+                if self._n_seen % interval == 0:
+                    change_point = self._maybe_score()
+                    if change_point is not None:
+                        detected.append(change_point)
+            steps.close()
 
     def _maybe_score(self, force: bool = False) -> int | None:
-        """Score the unsegmented region and report a significant change point."""
+        """Score the unsegmented region and report a significant change point.
+
+        Unless ``force`` is set, a region of at least
+        :data:`PRUNE_MIN_SPLITS` splits is first bounded: if no split can
+        reach ``score_threshold``, the pass reports nothing without scoring
+        and its profile is deferred to the first read of
+        :attr:`last_profile`.
+        """
         if self._knn is None or self._width is None:
             return None
         if not force and (self._n_seen % self.scoring_interval) != 0:
@@ -564,12 +625,19 @@ class ClaSS:
         if region_length < 2 * exclusion + 2:
             return None
 
+        placement = dict(
+            region_start=region_start,
+            window_start_time=self._n_seen - self._knn.n_buffered,
+            subsequence_width=width,
+        )
         fast_path = self.cross_val_implementation == "fast"
         if fast_path:
             # zero-copy: the k-NN core maintains the prediction thresholds
             # incrementally, so scoring reads views of live ring buffers and
             # never materialises the (m, k) neighbour table.
             region = self._knn.region_view(region_start)
+            if not force and self._pruned(region, exclusion, placement):
+                return None
             result = cross_val_scores_from_thresholds(
                 region.thresholds,
                 exclusion=exclusion,
@@ -581,14 +649,7 @@ class ClaSS:
             region_knn = self._knn.knn_indices[region_start:] - region_start
             cross_val = CROSS_VAL_IMPLEMENTATIONS[self.cross_val_implementation]
             result = cross_val(region_knn, exclusion=exclusion, score=self.score)
-        window_start_time = self._n_seen - self._knn.n_buffered
-        profile = ClaSPProfile(
-            scores=result.scores,
-            splits=result.splits,
-            region_start=region_start,
-            window_start_time=window_start_time,
-            subsequence_width=width,
-        )
+        profile = ClaSPProfile(scores=result.scores, splits=result.splits, **placement)
         self._last_profile = profile
         if profile.is_empty:
             return None
@@ -622,6 +683,27 @@ class ClaSS:
         if self.relearn_width:
             self._relearn_width()
         return change_point
+
+    def _pruned(self, region, exclusion: int, placement: dict) -> bool:
+        """Whether the pass provably misses ``score_threshold``; if so, defer its profile.
+
+        Only regions of at least :data:`PRUNE_MIN_SPLITS` splits are bounded.
+        A pruned pass leaves in ``_last_profile`` a partial that scores it
+        from the same breakpoints on the first read of :attr:`last_profile`.
+        """
+        m = region.thresholds.shape[0]
+        low = max(1, exclusion)  # the first and last split of valid_splits
+        high = m - low
+        if high - low + 1 < PRUNE_MIN_SPLITS:
+            return False
+        pred_zero_from = breakpoints_from_thresholds(region.thresholds, m, region.offset)
+        bound = split_score_bound(pred_zero_from, low, high, m, self.score)
+        if bound >= self.score_threshold - PRUNE_MARGIN:
+            return False
+        self._last_profile = functools.partial(
+            _score_pruned_pass, self._kernels, self.score, pred_zero_from, exclusion, **placement
+        )
+        return True
 
     def _relearn_width(self) -> None:
         """Re-learn ``w`` from the evolving segment and rebuild the k-NN (§3.4)."""

@@ -96,7 +96,7 @@ def predictions_for_split(
     return (thresholds >= split + offset).astype(np.int64)
 
 
-def _breakpoints_from_thresholds(
+def breakpoints_from_thresholds(
     thresholds: np.ndarray, m: int, offset: int = 0
 ) -> np.ndarray:
     """Clipped split values at which each subsequence's prediction becomes 0."""
@@ -173,7 +173,7 @@ class CrossValidationResult:
         return int(self.splits[best]), float(self.scores[best])
 
 
-def _valid_splits(n_subsequences: int, exclusion: int) -> np.ndarray:
+def valid_splits(n_subsequences: int, exclusion: int) -> np.ndarray:
     """Admissible split positions, keeping ``exclusion`` subsequences per side."""
     exclusion = max(1, int(exclusion))
     low = exclusion
@@ -204,7 +204,7 @@ def cross_val_scores_vectorised(
     knn = _validate_knn(knn_indices)
     m = knn.shape[0]
     score_fn = get_score_function(score)
-    splits = _valid_splits(m, exclusion)
+    splits = valid_splits(m, exclusion)
     if splits.size == 0:
         empty = np.empty(0, dtype=np.float64)
         return CrossValidationResult(empty, splits, empty, empty, empty, empty)
@@ -212,7 +212,7 @@ def cross_val_scores_vectorised(
     # Predicted label of subsequence i is 0 iff split > thresholds[i];
     # true label is 0 iff split > i.  Each confusion cell as a function of the
     # split is therefore a cumulative count over per-subsequence breakpoints.
-    pred_zero_from = _breakpoints_from_thresholds(prediction_thresholds(knn), m)
+    pred_zero_from = breakpoints_from_thresholds(prediction_thresholds(knn), m)
     n00, pred0 = confusion_prefix_counts(pred_zero_from, splits, m)
     true0 = splits.astype(np.float64)
     n10 = pred0 - n00              # true 1, predicted 0
@@ -263,11 +263,11 @@ def cross_val_scores_from_thresholds(
     m = thresholds.shape[0]
     if m < 2:
         raise ConfigurationError("thresholds needs at least two subsequences")
-    splits = _valid_splits(m, exclusion)
+    splits = valid_splits(m, exclusion)
     if splits.size == 0:
         empty = np.empty(0, dtype=np.float64)
         return CrossValidationResult(empty, splits, empty, empty, empty, empty)
-    pred_zero_from = _breakpoints_from_thresholds(thresholds, m, offset)
+    pred_zero_from = breakpoints_from_thresholds(thresholds, m, offset)
     if kernels is None:
         scores = fused_split_scores(pred_zero_from, splits, m, score)
     else:
@@ -307,7 +307,7 @@ def cross_val_scores_incremental(
     knn = _validate_knn(knn_indices)
     m, k = knn.shape
     score_fn = get_score_function(score)
-    splits = _valid_splits(m, exclusion)
+    splits = valid_splits(m, exclusion)
     if splits.size == 0:
         empty = np.empty(0, dtype=np.float64)
         return CrossValidationResult(empty, splits, empty, empty, empty, empty)
@@ -398,7 +398,7 @@ def cross_val_scores_naive(
     knn = _validate_knn(knn_indices)
     m, k = knn.shape
     score_fn = get_score_function(score)
-    splits = _valid_splits(m, exclusion)
+    splits = valid_splits(m, exclusion)
     if splits.size == 0:
         empty = np.empty(0, dtype=np.float64)
         return CrossValidationResult(empty, splits, empty, empty, empty, empty)

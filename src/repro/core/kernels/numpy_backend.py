@@ -30,23 +30,18 @@ def extend_shrink(partial, extend_values, newest, shrink_values, oldest, q_out):
 def topk_newest(similarities, low, take, first_global, idx_out, sim_out):
     """Top-``take`` of ``similarities[:low]`` by value desc, index asc on ties.
 
-    When a boundary tie makes the top-``take`` set ambiguous, the strictly
-    better candidates are kept and the remaining slots filled with the
-    earliest boundary-valued offsets; the final row is ordered by value
-    descending, index ascending.  Writes ``idx_out[:take]`` (global ids) and
-    ``sim_out[:take]``; the caller pre-pads the rest of the row.
+    One ``argmax`` pass per slot over a copy of the candidates, each taken
+    candidate then masked with ``-inf``: ``argmax`` returns the first
+    occurrence of the maximum, so equal values come out earliest index
+    first.  Writes ``idx_out[:take]`` (global ids) and ``sim_out[:take]``;
+    the caller pre-pads the rest of the row.
     """
-    candidates = similarities[:low]
-    if low > take:
-        boundary = np.partition(candidates, low - take)[low - take]
-        strict = np.nonzero(candidates > boundary)[0]
-        ties = np.nonzero(candidates == boundary)[0][: take - strict.shape[0]]
-        top = np.concatenate((strict, ties))
-    else:
-        top = np.arange(low)
-    top = top[np.lexsort((top, -candidates[top]))]
-    idx_out[:take] = top + first_global
-    sim_out[:take] = candidates[top]
+    candidates = similarities[:low].copy()
+    for slot in range(take):
+        best = int(candidates.argmax())
+        idx_out[slot] = best + first_global
+        sim_out[slot] = candidates[best]
+        candidates[best] = -np.inf
 
 
 def rank_smallest(values, rank):

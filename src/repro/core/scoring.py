@@ -24,6 +24,11 @@ SCORE_FUNCTIONS = ("macro_f1", "accuracy")
 
 _EPS = 1e-12
 
+#: Splits per block of :func:`split_score_bound` (a power of two: bins are
+#: computed with a shift).
+_BOUND_BLOCK_BITS = 4
+BOUND_BLOCK = 1 << _BOUND_BLOCK_BITS
+
 
 def binary_f1(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
     """F1 score of a single class from its true/false positive and negative counts."""
@@ -143,6 +148,52 @@ def fused_split_scores(
     recall0 = n00 / np.maximum(true0, _EPS)
     recall1 = n11 / np.maximum(true1, _EPS)
     return 0.5 * (recall0 + recall1)
+
+
+def split_score_bound(
+    pred_zero_from: np.ndarray,
+    low: int,
+    high: int,
+    n_subsequences: int,
+    score: str = "macro_f1",
+) -> float:
+    """Upper bound on the best score of the splits ``low..high``, without scoring them.
+
+    ``n00`` and ``pred0`` only grow with the split ``s``, so over a block of
+    splits ``[a, b]`` (:data:`BOUND_BLOCK` of them) the class F1 scores
+    ``2·n00 / (pred0 + s)`` and ``2·n11 / ((m - pred0) + (m - s))`` are at
+    most ``2·n00(b) / (pred0(a) + a)`` and
+    ``2·((m - a) - pred0(a) + n00(b)) / ((m - pred0(b)) + (m - b))``, and the
+    two recalls of accuracy likewise.  The counts at the block edges come
+    from coarse histograms of the breakpoints (``pred0(a)`` from below,
+    which keeps the bound valid), so the bound costs a few passes over the
+    ``m`` breakpoints instead of a full score profile.  It bounds the exact
+    scores; callers compare it with a small margin for rounding.
+    """
+    m = int(n_subsequences)
+    a = np.arange(low, high + 1, BOUND_BLOCK)  # first split of each block
+    b = a + (BOUND_BLOCK - 1)  # last split of each block
+    b[-1] = min(b[-1], high)
+    # shifted so that block j starts bin first + j
+    shift = -low % BOUND_BLOCK
+    first = (low + shift) // BOUND_BLOCK  # >= 1, as low >= 1
+    both_zero_from = np.maximum(pred_zero_from, np.arange(1, m + 1, dtype=np.int64))
+    counts = []
+    for breakpoints in (pred_zero_from, both_zero_from):
+        bins = (breakpoints + shift) >> _BOUND_BLOCK_BITS
+        below = np.cumsum(np.bincount(bins, minlength=first + a.shape[0]))
+        # entry j: breakpoints below block j's first split, j = 0..n_blocks
+        counts.append(below[first - 1 : first + a.shape[0]])
+    pred0, n00 = counts
+    pred0_a, pred0_b, n00_b = pred0[:-1], pred0[1:], n00[1:]
+    n11_hi = (m - a) - pred0_a + n00_b
+    if score == "macro_f1":
+        class0 = 2.0 * n00_b / (pred0_a + a)
+        class1 = 2.0 * n11_hi / ((m - pred0_b) + (m - b))
+    else:  # the class recalls n00 / s and n11 / (m - s)
+        class0 = n00_b / a
+        class1 = n11_hi / (m - b)
+    return 0.5 * float((np.minimum(class0, 1.0) + np.minimum(class1, 1.0)).max())
 
 
 def get_score_function(name: str) -> Callable[..., np.ndarray]:

@@ -684,8 +684,10 @@ class StreamingKNN:
                 dtype=np.float64,
             )
         elif evicted:
-            # Case B of the derivation: stored values align 1:1 with the new offsets
-            partial = self._q_store[: self._q_valid].copy()
+            # Case B of the derivation: stored values align 1:1 with the new
+            # offsets.  No copy: every backend reads partial[i] before it
+            # writes the aliased q_out[i].
+            partial = self._q_store[: self._q_valid]
             if partial.shape[0] != m:  # pragma: no cover - defensive
                 partial = np.array(
                     [float(window[i : i + w - 1] @ tail_prefix) for i in range(m)],

@@ -9,8 +9,11 @@ use), one per snapshot, named by the observation count they were taken at::
         ckpt-000000004096.ckpt      # ... after 4096
         ckpt-000000008192.ckpt
 
-``load_at_or_before(t)`` walks newest-first and returns the first envelope
-whose position is ``<= t`` — the replay anchor for
+Each envelope also records the stored row the snapshot was taken at
+(:func:`snapshot_row`): behind a dirty-data policy that drops rows the
+detector's ``n_seen`` lags the raw row count, and a replay must resume
+from the raw row.  ``load_at_or_before(t)`` walks newest-first and returns
+the first envelope taken at a row ``<= t`` — the replay anchor for
 :meth:`repro.storage.store.StreamStore.resegment`.  A corrupt file (torn
 write, bit rot) is skipped with a warning rather than failing the seek:
 losing one snapshot only means replaying a little more input.
@@ -36,6 +39,16 @@ logger = logging.getLogger(__name__)
 INDEX_FORMAT = "repro.storeckpt/1"
 #: Snapshot file pattern — the number is the detector's ``n_seen``.
 CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.ckpt$")
+
+
+def snapshot_row(envelope: dict[str, Any]) -> int:
+    """Stored row a snapshot was taken at: where a replay from it resumes.
+
+    The raw row count (``n_seen_raw``) of a dirty-data wrapper, else the
+    detector's ``n_seen``; envelopes written without the field fall back
+    to ``n_seen``.
+    """
+    return int(envelope.get("n_seen_raw", envelope["n_seen"]))
 
 
 class CheckpointIndex:
@@ -88,6 +101,7 @@ class CheckpointIndex:
         envelope: dict[str, Any] = {
             "format": INDEX_FORMAT,
             "n_seen": n_seen,
+            "n_seen_raw": int(getattr(segmenter, "n_seen_raw", n_seen)),
             "detector": detector if detector is not None else detector_key_for(segmenter),
             "config": config,
             "state": segmenter.save_state(),
@@ -95,7 +109,7 @@ class CheckpointIndex:
         return write_payload_file(self._path_for(n_seen), envelope, fsync=self.fsync)
 
     def load_at_or_before(self, t: int) -> dict[str, Any] | None:
-        """Newest intact snapshot envelope at position ``<= t``, else ``None``.
+        """Newest intact snapshot envelope taken at stored row ``<= t``, else ``None``.
 
         Corrupt snapshot files are skipped (with a warning) — the caller
         just replays from an earlier anchor, or from the stream start.
@@ -104,7 +118,7 @@ class CheckpointIndex:
         if t < 0:
             raise ConfigurationError("checkpoint position must be non-negative")
         for n_seen in reversed(self.positions()):
-            if n_seen > t:
+            if n_seen > t:  # the row is never below the detector's n_seen
                 continue
             path = self._path_for(n_seen)
             try:
@@ -112,9 +126,10 @@ class CheckpointIndex:
             except (CorruptCheckpointError, OSError) as error:
                 logger.warning("skipping corrupt snapshot %s: %s", path, error)
                 continue
-            if isinstance(envelope, dict) and envelope.get("format") == INDEX_FORMAT:
+            if not (isinstance(envelope, dict) and envelope.get("format") == INDEX_FORMAT):
+                logger.warning("skipping snapshot %s with unexpected format", path)
+            elif snapshot_row(envelope) <= t:
                 return envelope
-            logger.warning("skipping snapshot %s with unexpected format", path)
         return None
 
     def prune(self, keep: int) -> int:

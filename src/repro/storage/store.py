@@ -38,7 +38,7 @@ from repro.api.checkpoint import restore
 from repro.api.events import ScoreEvent, event_from_dict
 from repro.api.registry import config_class, create, normalise_key
 from repro.api.stream import DEFAULT_STREAM_CHUNK_SIZE
-from repro.storage.checkpoints import CheckpointIndex
+from repro.storage.checkpoints import CheckpointIndex, snapshot_row
 from repro.storage.chunkstore import (
     DEFAULT_SEGMENT_ROWS,
     ChunkStoreWriter,
@@ -518,7 +518,9 @@ class StreamStore:
             envelope = self.checkpoint_index(name).load_at_or_before(from_t)
             if envelope is not None:
                 segmenter = restore(envelope["state"])
-                checkpoint_used = int(envelope["n_seen"])
+                # the stored row, not the detector's n_seen: a policy that
+                # drops dirty rows makes the detector lag the rows read
+                checkpoint_used = snapshot_row(envelope)
                 replayed_from = checkpoint_used
             else:
                 segmenter = create(new_key, new_config)

@@ -87,8 +87,8 @@ class TestStreamingKNNEquivalence:
 
 
 class TestClaSSEquivalence:
-    def reference_run(self, values, **kwargs):
-        segmenter = ClaSS(window_size=1_000, **kwargs)
+    def reference_run(self, values, window_size=1_000, **kwargs):
+        segmenter = ClaSS(window_size=window_size, **kwargs)
         detected = [
             cp for value in values if (cp := segmenter.update(float(value))) is not None
         ]
@@ -120,6 +120,18 @@ class TestClaSSEquivalence:
             segmenter = ClaSS(window_size=1_000, scoring_interval=scoring_interval)
             assert feed_chunked(segmenter, values, chunk_size) == detected
             self.assert_identical(reference, segmenter)
+
+    def test_threshold_pruned_passes(self, rng):
+        # regions of over 1,024 splits: the score-threshold bound skips passes
+        values = stream(rng, 3_000)
+        config = dict(window_size=1_500, subsequence_width=20, scoring_interval=3)
+        reference, detected = self.reference_run(values, **config)
+        assert detected
+        for chunk_size in CHUNKINGS:
+            segmenter = ClaSS(**config)
+            assert feed_chunked(segmenter, values, chunk_size) == detected
+            self.assert_identical(reference, segmenter)
+            assert segmenter.current_score == reference.current_score
 
     def test_stream_shorter_than_warmup(self, rng):
         values = stream(rng, 600)  # warm-up needs window_size=1000 observations

@@ -176,3 +176,15 @@ class TestBehaviour:
         segmenter = ClaSS(window_size=1_000, subsequence_width=20, scoring_interval=100)
         segmenter.process(stationary_noise)
         assert segmenter.n_seen == stationary_noise.shape[0]
+
+    def test_non_finite_value_raises_before_the_knn_mutates(self, stationary_noise):
+        segmenter = ClaSS(window_size=1_000, subsequence_width=20)
+        segmenter.process(stationary_noise[:1_200])
+        window = segmenter._knn.window.copy()
+        dirty = stationary_noise[1_200:1_700].copy()
+        dirty[300] = np.nan
+        with pytest.raises(ConfigurationError, match="finite"):
+            segmenter.process(dirty)
+        # the run is validated whole: none of its values reached the k-NN
+        assert segmenter.n_seen == segmenter._knn.n_seen == 1_200
+        np.testing.assert_array_equal(segmenter._knn.window, window)

@@ -2,12 +2,73 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.significance import (
     ChangePointSignificanceTest,
+    binary_rank_sum_p_value,
     rank_sum_p_value,
 )
 from repro.utils.exceptions import ConfigurationError
+
+
+def binary_sample(size: int, ones: int, seed: int) -> np.ndarray:
+    """A shuffled float 0/1 sample of ``size`` labels, ``ones`` of them 1."""
+    sample = np.zeros(size)
+    sample[:ones] = 1.0
+    return np.random.default_rng(seed).permutation(sample)
+
+
+@st.composite
+def side(draw):
+    """(size, ones) of one sample: constant, nearly constant or mixed."""
+    size = draw(st.integers(min_value=0, max_value=1_200))
+    edges = st.sampled_from([0, size, min(1, size), max(size - 1, 0)])
+    return size, draw(edges | st.integers(min_value=0, max_value=size))
+
+
+class TestBinaryRankSum:
+    """The gate's closed form must return exactly what scipy's test returns."""
+
+    @given(left=side(), right=side(), seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_scipy_reference(self, left, right, seed):
+        expected = rank_sum_p_value(binary_sample(*left, seed), binary_sample(*right, seed + 1))
+        assert binary_rank_sum_p_value(*left, *right) == expected
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ((500, 0), (500, 0)),  # both constant and equal
+            ((500, 500), (300, 300)),
+            ((500, 0), (300, 300)),  # both constant, different
+            ((1, 1), (999, 0)),
+            ((0, 0), (10, 4)),  # an empty side
+            ((1_000, 0), (1_000, 1_000)),  # p underflows towards 0
+        ],
+    )
+    def test_degenerate_and_extreme_cases(self, left, right):
+        expected = rank_sum_p_value(binary_sample(*left, 0), binary_sample(*right, 1))
+        assert binary_rank_sum_p_value(*left, *right) == expected
+
+    def test_gate_matches_scipy_path_and_rng_stream(self, rng):
+        # the closed-form gate draws the same resamples as ranking them
+        y_pred = (rng.random(3_000) < np.linspace(0.2, 0.9, 3_000)).astype(float)
+        gate = ChangePointSignificanceTest(random_state=5)
+        reference = ChangePointSignificanceTest(random_state=5)
+        for split in (40, 1_000, 2_100, 2_990):
+            result = gate.test(y_pred, split)
+            left, right = reference._resample(y_pred[:split], y_pred[split:])
+            assert (result.statistic, result.p_value) == rank_sum_p_value(left, right)
+        assert gate.rng_state() == reference.rng_state()
+
+    def test_non_binary_labels_fall_back_to_ranking(self, rng):
+        y_pred = rng.integers(0, 3, 800).astype(float)
+        result = ChangePointSignificanceTest(random_state=5).test(y_pred, 400)
+        reference = ChangePointSignificanceTest(random_state=5)
+        left, right = reference._resample(y_pred[:400], y_pred[400:])
+        assert (result.statistic, result.p_value) == rank_sum_p_value(left, right)
 
 
 class TestRankSumPValue:

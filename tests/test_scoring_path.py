@@ -1,6 +1,6 @@
 """Tests for the incremental ClaSP scoring path.
 
-Three pillars, mirroring the contract of the fast path:
+Four pillars, mirroring the contract of the fast path:
 
 * the threshold cache maintained inside :class:`StreamingKNN` always equals a
   fresh ``prediction_thresholds`` computation over the current k-NN table —
@@ -10,19 +10,29 @@ Three pillars, mirroring the contract of the fast path:
   randomized k-NN tables (including the lazily materialised confusion
   counts);
 * ClaSS reports bit-identical change points for every
-  ``cross_val_implementation`` across k-NN modes and scoring intervals.
+  ``cross_val_implementation`` across k-NN modes and scoring intervals;
+* every scoring pass pruned by the score-threshold bound is one whose full
+  profile cannot reach the threshold, and its lazily built profile equals
+  that full profile.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
+import functools
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.class_segmenter import ClaSS
+from repro.core import class_segmenter
+from repro.core.class_segmenter import PRUNE_MIN_SPLITS, ClaSS
 from repro.core.cross_val import (
     CROSS_VAL_IMPLEMENTATIONS,
+    breakpoints_from_thresholds,
     cross_val_scores_fast,
     cross_val_scores_from_thresholds,
     cross_val_scores_incremental,
@@ -30,8 +40,10 @@ from repro.core.cross_val import (
     cross_val_scores_vectorised,
     prediction_thresholds,
     predictions_for_split,
+    valid_splits,
 )
-from repro.core.scoring import fused_split_scores
+from repro.core.kernels import available_backends
+from repro.core.scoring import fused_split_scores, split_score_bound
 from repro.core.streaming_knn import PADDING_INDEX, StreamingKNN
 from repro.utils.exceptions import ConfigurationError
 
@@ -181,6 +193,28 @@ class TestFusedKernelEquivalence:
         assert result.scores.size == 0
         assert result.n00.size == 0  # eager empties, no lazy materialisation
 
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        m=st.integers(min_value=8, max_value=3_000),
+        exclusion=st.integers(min_value=1, max_value=200),
+        drift=st.integers(min_value=0, max_value=400),
+        score=st.sampled_from(["macro_f1", "accuracy"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_split_score_bound_covers_every_split(self, seed, m, exclusion, drift, score):
+        # thresholds near each subsequence's own offset, as in a real region,
+        # plus padded and left-of-region neighbours
+        rng = np.random.default_rng(seed)
+        thresholds = np.arange(m) + rng.integers(-drift - 1, drift + 1, m)
+        thresholds[rng.random(m) < 0.05] = PADDING_INDEX
+        splits = valid_splits(m, exclusion)
+        if splits.size == 0:
+            return
+        pred_zero_from = breakpoints_from_thresholds(thresholds, m)
+        best = fused_split_scores(pred_zero_from, splits, m, score).max()
+        bound = split_score_bound(pred_zero_from, int(splits[0]), int(splits[-1]), m, score)
+        assert bound >= best - 1e-12
+
 
 def two_regime_stream(rng, half=650):
     t = np.arange(half)
@@ -245,3 +279,212 @@ class TestChangePointIdentity:
         assert bulk.n_seen == pointwise.n_seen
         assert bulk.subsequence_width_ == pointwise.subsequence_width_
         np.testing.assert_array_equal(bulk.change_points, pointwise.change_points)
+
+
+# --------------------------------------------------------------------------- #
+# threshold-pruned scoring passes
+# --------------------------------------------------------------------------- #
+
+
+@contextlib.contextmanager
+def audited_pruning():
+    """Check every pruned ClaSS pass against the full pass it skipped.
+
+    Yields the list of the audited passes' split counts.  For each pruned
+    pass the full profile is computed on the spot: its best score must lie
+    below the threshold, and the lazily built ``last_profile`` must equal it.
+    """
+    audited: list[int] = []
+    maybe_score = ClaSS._maybe_score
+
+    def audited_maybe_score(self, force=False):
+        before = self._last_profile
+        change_point = maybe_score(self, force)
+        deferred = self._last_profile
+        if isinstance(deferred, functools.partial) and deferred is not before:
+            assert change_point is None and not force
+            region_start = self._state.last_change_point_offset
+            region = self._knn.region_view(region_start)
+            full = cross_val_scores_from_thresholds(
+                region.thresholds,
+                exclusion=self.excl_factor * self._width,
+                score=self.score,
+                offset=region.offset,
+                kernels=self._kernels,
+            )
+            assert full.scores.max() < self.score_threshold
+            lazy = self.last_profile
+            np.testing.assert_array_equal(lazy.scores, full.scores)
+            np.testing.assert_array_equal(lazy.splits, full.splits)
+            assert lazy.region_start == region_start
+            assert lazy.window_start_time == self.n_seen - self._knn.n_buffered
+            assert self.current_score == full.scores.max()
+            audited.append(int(full.splits.size))
+        return change_point
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ClaSS, "_maybe_score", audited_maybe_score)
+        yield audited
+
+
+@contextlib.contextmanager
+def pruning_disabled():
+    """Score every pass in full (the reference the pruned runs must equal)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(class_segmenter, "PRUNE_MIN_SPLITS", 10**12)
+        yield
+
+
+def run_in_chunks(segmenter, values, chunk_size):
+    """Stream ``values`` in calls of ``chunk_size``; reports and per-call scores."""
+    scores = []
+    for start in range(0, values.shape[0], chunk_size):
+        segmenter.process(values[start : start + chunk_size], chunk_size=chunk_size)
+        scores.append(segmenter.current_score)
+    reports = [(r.change_point, r.detected_at, r.score, r.p_value) for r in segmenter.reports]
+    return reports, scores
+
+
+def prunable_maxima(values, config):
+    """Best score of every full pass of at least PRUNE_MIN_SPLITS splits."""
+    maxima: list[float] = []
+
+    def recording(*args, **kwargs):
+        result = cross_val_scores_from_thresholds(*args, **kwargs)
+        if result.splits.size >= PRUNE_MIN_SPLITS:
+            maxima.append(float(result.scores.max()))
+        return result
+
+    with pruning_disabled(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(class_segmenter, "cross_val_scores_from_thresholds", recording)
+        ClaSS(**config).process(values)
+    return maxima
+
+
+#: A window whose regions exceed the pruning gate once they are long, so a
+#: run scores on both sides of it.
+PRUNE_WINDOW = dict(window_size=1_500, subsequence_width=20)
+
+
+class TestThresholdPruning:
+    """Pinned: pruning changes no report, score, profile or checkpoint."""
+
+    @given(
+        score=st.sampled_from(["macro_f1", "accuracy"]),
+        k_neighbours=st.sampled_from([1, 3, 4]),
+        excl_factor=st.sampled_from([1, 2, 5]),
+        scoring_interval=st.sampled_from([1, 3, 8]),
+        chunk_size=st.sampled_from([1, 7, 256, 1_024]),
+        relearn_width=st.booleans(),
+        quantile=st.floats(min_value=0.8, max_value=1.0),
+        nudge=st.sampled_from([-1e-12, 0.0, 1e-12, 0.03, 0.1]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_pruned_passes_equal_full_passes(
+        self,
+        score,
+        k_neighbours,
+        excl_factor,
+        scoring_interval,
+        chunk_size,
+        relearn_width,
+        quantile,
+        nudge,
+        seed,
+    ):
+        values = two_regime_stream(np.random.default_rng(seed), half=1_500)
+        config = dict(
+            PRUNE_WINDOW,
+            score=score,
+            k_neighbours=k_neighbours,
+            excl_factor=excl_factor,
+            scoring_interval=scoring_interval,
+            relearn_width=relearn_width,
+        )
+        # thresholds near the best scores the prunable passes really reach
+        maxima = prunable_maxima(values, config)
+        threshold = float(np.quantile(maxima, quantile)) + nudge if maxima else 0.75
+        config["score_threshold"] = min(max(threshold, 0.0), 1.0)
+        with pruning_disabled():
+            expected = run_in_chunks(ClaSS(**config), values, chunk_size)
+        with audited_pruning():
+            assert run_in_chunks(ClaSS(**config), values, chunk_size) == expected
+
+    def test_gate_prunes_only_long_regions(self):
+        values = two_regime_stream(np.random.default_rng(3), half=1_500)
+        passes = []
+
+        def counting(*args, **kwargs):
+            result = cross_val_scores_from_thresholds(*args, **kwargs)
+            passes.append(int(result.splits.size))
+            return result
+
+        with audited_pruning() as audited, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(class_segmenter, "cross_val_scores_from_thresholds", counting)
+            segmenter = ClaSS(**PRUNE_WINDOW, score_threshold=0.97)
+            segmenter.process(values)
+        assert audited and min(audited) >= PRUNE_MIN_SPLITS
+        # scored in full on both sides of the gate
+        assert min(passes) < PRUNE_MIN_SPLITS <= max(passes)
+
+    def test_relearn_width_mid_chunk(self):
+        values = two_regime_stream(np.random.default_rng(5), half=1_500)
+        config = dict(PRUNE_WINDOW, scoring_interval=3, relearn_width=True)
+        with pruning_disabled():
+            expected = run_in_chunks(ClaSS(**config), values, 1_024)
+        with audited_pruning() as audited:
+            segmenter = ClaSS(**config)
+            assert run_in_chunks(segmenter, values, 1_024) == expected
+        assert audited and expected[0]  # pruned passes and a change point
+        assert segmenter.subsequence_width_ != PRUNE_WINDOW["subsequence_width"]
+
+    def test_checkpoint_resume_mid_chunk(self):
+        values = two_regime_stream(np.random.default_rng(7), half=1_500)
+        config = dict(PRUNE_WINDOW, scoring_interval=2)
+        uninterrupted = ClaSS(**config)
+        expected = run_in_chunks(uninterrupted, values, 1_024)
+        first = ClaSS(**config)
+        first.process(values[:1_700])  # 1,024 + 676: the cut is mid-chunk
+        resumed = ClaSS()
+        resumed.load_state(pickle.loads(pickle.dumps(first.save_state())))
+        with audited_pruning() as audited:
+            resumed.process(values[1_700:])
+        assert audited
+        reports = [(r.change_point, r.detected_at, r.score, r.p_value) for r in resumed.reports]
+        assert reports == expected[0]
+        assert resumed.current_score == uninterrupted.current_score
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_every_kernel_backend(self, backend):
+        # the numpy run reaches the long regions; a checkpoint hands them to
+        # the backend (slow loop backends only stream the last stretch)
+        values = two_regime_stream(np.random.default_rng(9), half=1_500)[:1_450]
+        config = dict(PRUNE_WINDOW, scoring_interval=4, score_threshold=0.97)
+        reference = ClaSS(**config, kernel_backend="numpy")
+        reference.process(values[:1_300])
+        payload = reference.save_state()
+        payload["config"]["kernel_backend"] = backend
+        candidate = ClaSS()
+        candidate.load_state(payload)
+        assert candidate._kernels.name == backend
+        reference.process(values[1_300:])
+        with audited_pruning() as audited:
+            candidate.process(values[1_300:])
+        assert audited
+        np.testing.assert_array_equal(candidate.last_profile.scores, reference.last_profile.scores)
+        assert candidate.reports == reference.reports
+
+    def test_score_now_and_pickle_with_a_pruned_pass(self):
+        values = two_regime_stream(np.random.default_rng(3), half=1_500)
+        segmenter = ClaSS(**PRUNE_WINDOW, score_threshold=0.97)
+        segmenter.process(values[:1_450])
+        assert isinstance(segmenter._last_profile, functools.partial)
+        clone = pickle.loads(pickle.dumps(segmenter))  # the parallel ensemble ships these
+        np.testing.assert_array_equal(clone.last_profile.scores, segmenter.last_profile.scores)
+        # score_now always runs the full pass
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(class_segmenter, "split_score_bound", lambda *a: 0.0)
+            profile = segmenter.score_now()
+        assert not isinstance(segmenter._last_profile, functools.partial)
+        np.testing.assert_array_equal(profile.scores, clone.last_profile.scores)

@@ -14,6 +14,7 @@ import pytest
 from repro import api
 from repro.cli import main
 from repro.storage import StreamStore, diff_change_points, replay_events
+from repro.storage.checkpoints import snapshot_row
 from repro.utils.exceptions import ConfigurationError, StorageError
 
 CLASS_CONFIG = {"window_size": 600, "scoring_interval": 20}
@@ -122,6 +123,26 @@ class TestResegmentBitIdentity:
         # cadence 700 with 200-chunks snapshots at 0, 800, 1600, ...
         assert audit.checkpoint_used == 800
         assert audit.new_change_points == ref_points
+
+    @pytest.mark.parametrize(
+        "policy", [{"nan_policy": "skip"}, {"nan_policy": "hold-last", "max_gap": 10}]
+    )
+    def test_resegment_anchors_on_the_stored_row(self, store, shifting, policy):
+        """Dropped dirty rows make the detector's n_seen lag the stored row."""
+        values = shifting.copy()
+        values[1_500:1_531] = np.nan
+        store.ingest("s", values)
+        run = store.segment("s", "page-hinkley", {"data_policy": policy}, checkpoint_every=500)
+        envelope = store.checkpoint_index("s").load_at_or_before(4_000)
+        assert envelope["n_seen"] < envelope["n_seen_raw"] <= 4_000
+        audit = store.resegment("s", from_t=4_000)
+        assert audit.identical, audit.summary()
+        assert audit.new_change_points == run.change_points
+        assert audit.replayed_from == audit.checkpoint_used == envelope["n_seen_raw"]
+
+    def test_snapshot_without_raw_row_anchors_on_n_seen(self):
+        assert snapshot_row({"n_seen": 300}) == 300
+        assert snapshot_row({"n_seen": 300, "n_seen_raw": 331}) == 331
 
     def test_resegment_different_chunking_still_identical(self, store, shifting):
         store.ingest("s", shifting)
