@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -568,26 +567,32 @@ class ClaSS:
     def _ingest_and_score(self, values: np.ndarray, detected: list[int]) -> None:
         """Feed a run to one k-NN generator, scoring between its yields.
 
-        The ``update_many`` generator is drained up to each scoring boundary
-        (every ``scoring_interval`` stream positions) and paused there while
-        the region is scored, so the run pays the generator's set-up once
-        however often it is scored.  Evictions since the last pause shift the
-        unsegmented region left.  When a change point makes
-        ``relearn_width`` rebuild the k-NN, the old generator is closed and
-        the rest of the run goes to the new k-NN.  Appends the detected
-        change points to ``detected``.
+        The ``update_many`` generator is advanced to each scoring boundary
+        (every ``scoring_interval`` stream positions) with one ``send`` and
+        paused there while the region is scored, so the run pays the
+        generator's set-up once however often it is scored, and the k-NN may
+        advance the observations between two pauses as one block.  A fresh
+        generator's first advance is a ``next()``, one observation.
+        Evictions since the last pause shift the unsegmented region left.
+        When a change point makes ``relearn_width`` rebuild the k-NN, the old
+        generator is closed and the rest of the run goes to the new k-NN.
+        Appends the detected change points to ``detected``.
         """
         interval = self.scoring_interval
         n = values.shape[0]
         position = 0
         while position < n:
             knn = self._knn
+            evicted = knn.n_evicted
             # validates the whole rest of the run before the k-NN mutates
             steps = knn.update_many(values[position:])
-            evicted = knn.n_evicted
+            next(steps)
+            ahead = 1  # observations advanced past the last pause
             while position < n and self._knn is knn:
                 take = min(interval - self._n_seen % interval, n - position)
-                collections.deque(itertools.islice(steps, take), maxlen=0)
+                if take > ahead:
+                    steps.send(take - ahead)
+                ahead = 0
                 self._n_seen += take
                 position += take
                 slid = knn.n_evicted - evicted

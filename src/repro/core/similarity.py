@@ -68,9 +68,29 @@ def pearson_from_dot_products(
         (a constant subsequence whose std was not floored by the caller)
         deterministically correlate 0.0 instead of dividing by zero.
     """
+    return pearson_from_query_stats(
+        dot_products, means, stds, means[query_index], stds[query_index], window_size
+    )
+
+
+def pearson_from_query_stats(
+    dot_products: np.ndarray,
+    means: np.ndarray,
+    stds: np.ndarray,
+    query_mean,
+    query_std,
+    window_size: int,
+) -> np.ndarray:
+    """Eqn. 4 with the query's mean and std passed in rather than indexed.
+
+    The expressions of :func:`pearson_from_dot_products`, which delegates
+    here.  With ``(B, m)`` dot products, means and stds and ``(B, 1)`` query
+    columns it correlates ``B`` queries in one call, each row bit-identical
+    to its own 1-d call.
+    """
     w = float(window_size)
-    numerator = dot_products - w * means * means[query_index]
-    denominator = w * stds * stds[query_index]
+    numerator = dot_products - w * means * query_mean
+    denominator = w * stds * query_std
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = numerator / denominator
     corr = np.where(denominator > 0.0, corr, 0.0)
@@ -96,8 +116,13 @@ def cid_factor(complexities: np.ndarray, query_index: int) -> np.ndarray:
     of the first difference of a subsequence.  A small floor keeps flat
     subsequences from dividing by zero.
     """
+    return _cid_factor(complexities, complexities[query_index])
+
+
+def _cid_factor(complexities: np.ndarray, query_complexity) -> np.ndarray:
+    """:func:`cid_factor` with the query's complexity passed in (scalar or column)."""
     ce = np.maximum(complexities, 1e-8)
-    ce_query = max(float(complexities[query_index]), 1e-8)
+    ce_query = np.maximum(query_complexity, 1e-8)
     high = np.maximum(ce, ce_query)
     low = np.minimum(ce, ce_query)
     return high / low
@@ -114,23 +139,52 @@ def similarity_profile(
 ) -> np.ndarray:
     """Similarity of every subsequence to the query (higher = more similar).
 
-    This is the single entry point used by
-    :class:`repro.core.streaming_knn.StreamingKNN`; it dispatches on the
-    measure name and guarantees a "higher is better" orientation so the k-NN
-    search is always an arg-k-max.
+    One-off form of :func:`get_similarity` (which the streaming k-NN
+    resolves once); it guarantees a "higher is better" orientation so the
+    k-NN search is always an arg-k-max.
     """
-    corr = pearson_from_dot_products(dot_products, means, stds, query_index, window_size)
+    profile = get_similarity(measure)
+    return profile(dot_products, means, stds, query_index, window_size, complexities)
+
+
+def get_similarity_from_stats(measure: str) -> Callable[..., np.ndarray]:
+    """Return the measure's expressions with the query statistics passed in.
+
+    The returned ``rows(dots, means, stds, query_means, query_stds, w,
+    comps=None, query_comps=None)`` is the single copy of each measure's
+    arithmetic: :func:`get_similarity` indexes the query statistics out of
+    the per-offset arrays and calls it.  Given ``(B, m)`` profiles and
+    statistics with ``(B, 1)`` query columns it scores ``B`` queries per
+    call, each row bit-identical to the 1-d call — the block step of the
+    streaming k-NN relies on that.
+    """
     if measure == "pearson":
-        return corr
-    dist_sq = squared_distance_from_correlation(corr, window_size)
-    if measure == "euclidean":
-        return -np.sqrt(np.maximum(dist_sq, 0.0))
-    if measure == "cid":
-        if complexities is None:
-            raise ConfigurationError("CID similarity requires subsequence complexities")
-        dist = np.sqrt(np.maximum(dist_sq, 0.0))
-        return -dist * cid_factor(complexities, query_index)
-    raise _unknown_measure(measure)
+
+        def rows(dots, means, stds, query_means, query_stds, w, comps=None, query_comps=None):
+            return pearson_from_query_stats(dots, means, stds, query_means, query_stds, w)
+
+    elif measure == "euclidean":
+
+        def rows(dots, means, stds, query_means, query_stds, w, comps=None, query_comps=None):
+            corr = pearson_from_query_stats(dots, means, stds, query_means, query_stds, w)
+            dist_sq = squared_distance_from_correlation(corr, w)
+            return -np.sqrt(np.maximum(dist_sq, 0.0))
+
+    elif measure == "cid":
+
+        def rows(dots, means, stds, query_means, query_stds, w, comps=None, query_comps=None):
+            if comps is None:
+                raise ConfigurationError("CID similarity requires subsequence complexities")
+            corr = pearson_from_query_stats(dots, means, stds, query_means, query_stds, w)
+            dist_sq = squared_distance_from_correlation(corr, w)
+            dist = np.sqrt(np.maximum(dist_sq, 0.0))
+            return -dist * _cid_factor(comps, query_comps)
+
+    else:
+        raise _unknown_measure(measure)
+
+    rows.__name__ = f"{measure}_rows"
+    return rows
 
 
 def get_similarity(measure: str) -> Callable[..., np.ndarray]:
@@ -142,51 +196,27 @@ def get_similarity(measure: str) -> Callable[..., np.ndarray]:
     it once per ingested observation.  This is also the numpy reference
     kernel handed out by :mod:`repro.core.kernels`.
     """
-    if measure == "pearson":
+    rows = get_similarity_from_stats(measure)
 
-        def profile(
-            dot_products: np.ndarray,
-            means: np.ndarray,
-            stds: np.ndarray,
-            query_index: int,
-            window_size: int,
-            complexities: np.ndarray | None = None,
-        ) -> np.ndarray:
-            return pearson_from_dot_products(dot_products, means, stds, query_index, window_size)
-
-    elif measure == "euclidean":
-
-        def profile(
-            dot_products: np.ndarray,
-            means: np.ndarray,
-            stds: np.ndarray,
-            query_index: int,
-            window_size: int,
-            complexities: np.ndarray | None = None,
-        ) -> np.ndarray:
-            corr = pearson_from_dot_products(dot_products, means, stds, query_index, window_size)
-            dist_sq = squared_distance_from_correlation(corr, window_size)
-            return -np.sqrt(np.maximum(dist_sq, 0.0))
-
-    elif measure == "cid":
-
-        def profile(
-            dot_products: np.ndarray,
-            means: np.ndarray,
-            stds: np.ndarray,
-            query_index: int,
-            window_size: int,
-            complexities: np.ndarray | None = None,
-        ) -> np.ndarray:
-            if complexities is None:
-                raise ConfigurationError("CID similarity requires subsequence complexities")
-            corr = pearson_from_dot_products(dot_products, means, stds, query_index, window_size)
-            dist_sq = squared_distance_from_correlation(corr, window_size)
-            dist = np.sqrt(np.maximum(dist_sq, 0.0))
-            return -dist * cid_factor(complexities, query_index)
-
-    else:
-        raise _unknown_measure(measure)
+    def profile(
+        dot_products: np.ndarray,
+        means: np.ndarray,
+        stds: np.ndarray,
+        query_index: int,
+        window_size: int,
+        complexities: np.ndarray | None = None,
+    ) -> np.ndarray:
+        query_complexity = None if complexities is None else complexities[query_index]
+        return rows(
+            dot_products,
+            means,
+            stds,
+            means[query_index],
+            stds[query_index],
+            window_size,
+            complexities,
+            query_complexity,
+        )
 
     profile.__name__ = f"{measure}_profile"
     return profile

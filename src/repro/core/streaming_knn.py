@@ -18,6 +18,19 @@ the loop, and lazily yields the table state after every observation.
 path, so there is exactly one ingestion implementation and batched ingestion
 is bit-identical to point-wise ingestion.
 
+The generator advances one observation per ``next()``; ``send(n)`` at a
+yield advances ``n`` before the next one.  A caller that reads the tables
+only every so often (ClaSS scores every ``scoring_interval`` observations)
+sends the distance to its next read, and a saturated ``"streaming"`` k-NN on
+the numpy backend then advances those steps as blocks: one
+``np.add.accumulate`` over the stacked extend/shrink terms yields every
+step's dot products (bit-identical, since the accumulation adds row by row),
+the similarity and the newest rows' top-k run over ``(B, m)`` matrices, and
+the older rows merge a block's candidates by one stable sort, replaying the
+rows with exact ties through the backend's sorted insert.  Single steps, the
+warm-up growth, the ``"recompute"``/``"fft"`` modes and the loop-form
+backends (numba has no per-call overhead to amortise) step point by point.
+
 Two buffer-layout choices keep the amortized per-point cost free of hidden
 O(d) terms:
 
@@ -61,13 +74,14 @@ backend-portable.
 from __future__ import annotations
 
 import collections
+import itertools
 import warnings
-from typing import Iterator, NamedTuple
+from typing import Generator, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.core.kernels import get_backend
-from repro.core.similarity import SIMILARITY_MEASURES
+from repro.core.similarity import SIMILARITY_MEASURES, get_similarity_from_stats
 from repro.utils.exceptions import ConfigurationError, NotEnoughDataError
 
 #: Sentinel index used for padded / not-yet-available neighbours.  Negative
@@ -90,10 +104,32 @@ FFT_BATCH_MIN = 32
 #: ``O(FFT_BATCH_ROWS * window_size)`` regardless of chunk length.
 FFT_BATCH_ROWS = 128
 
+#: Most steps one block of the ``"streaming"`` numpy path advances: bounds
+#: its temporaries to ``O(BLOCK_ROWS * window_size)`` however far a caller
+#: advances between two yields.
+BLOCK_ROWS = 32
+
 
 def exclusion_radius(window_size: int) -> int:
     """Trivial-match exclusion radius: the last ``3/2 * w`` observations."""
     return int(np.ceil(1.5 * window_size))
+
+
+def _step_rows(array: np.ndarray, first: int, steps: int, width: int) -> np.ndarray:
+    """``(steps, width)`` view whose row ``b`` is ``array[first + b : first + b + width]``.
+
+    The sliding-window view of one block's steps, built directly (no copy,
+    no per-call validation) over a contiguous 1-d backing array.
+    """
+    itemsize = array.itemsize
+    return np.ndarray((steps, width), array.dtype, array, first * itemsize, (itemsize, itemsize))
+
+
+def _rank_smallest_rows(ids: np.ndarray, rank: int) -> np.ndarray:
+    """Row-wise ``rank``-th smallest id (``rank_smallest`` over a block's rows)."""
+    ordered = ids.copy()
+    ordered.partition(rank, axis=1)
+    return ordered[:, rank]
 
 
 class RegionView(NamedTuple):
@@ -219,6 +255,7 @@ class StreamingKNN:
         # get_backend validates the name and resolves "auto"/fallbacks
         self._kernels = get_backend(kernel_backend)
         self._similarity_fn = self._kernels.similarity_kernel(similarity)
+        self._similarity_rows = get_similarity_from_stats(similarity)
         self.exclusion = exclusion_radius(self.subsequence_width)
 
         d, w, k = self.window_size, self.subsequence_width, self.k_neighbours
@@ -226,19 +263,21 @@ class StreamingKNN:
         # 2x-capacity backing array: the live window is buffer[start:start+length]
         # and sliding advances `start`; a compaction copy back to offset 0 is
         # needed only once every `d` evictions (O(1) amortized appends).
+        # Backing arrays are zero-filled: state_dict copies them whole, so an
+        # unwritten tail must not carry stale memory into checkpoints.
         self._capacity = 2 * d
-        self._buffer = np.empty(self._capacity, dtype=np.float64)
+        self._buffer = np.zeros(self._capacity, dtype=np.float64)
         self._start = 0
         self._length = 0
         self._evictions = 0
         # per-subsequence statistics, aligned with the backing array: entry at
         # backing position p describes the subsequence buffer[p:p+w].  Each is
         # computed exactly once, when the subsequence first appears.
-        self._means = np.empty(self._capacity, dtype=np.float64)
-        self._stds = np.empty(self._capacity, dtype=np.float64)
-        self._comps = np.empty(self._capacity, dtype=np.float64) if similarity == "cid" else None
+        self._means = np.zeros(self._capacity, dtype=np.float64)
+        self._stds = np.zeros(self._capacity, dtype=np.float64)
+        self._comps = np.zeros(self._capacity, dtype=np.float64) if similarity == "cid" else None
         # (w-1)-length partial dot products carried between updates (Eqn. 5)
-        self._q_store = np.empty(self._max_subsequences, dtype=np.float64)
+        self._q_store = np.zeros(self._max_subsequences, dtype=np.float64)
         self._q_valid = 0
         # k-NN tables, also ring-buffered: live rows are
         # backing[row_start:row_start+n_subsequences], and neighbour ids are
@@ -336,13 +375,17 @@ class StreamingKNN:
             pass
         return ready
 
-    def update_many(self, values: np.ndarray) -> Iterator[bool]:
-        """Ingest a chunk of observations; lazily yield the table state per point.
+    def update_many(self, values: np.ndarray) -> Generator[bool, int | None, None]:
+        """Ingest a chunk of observations; lazily yield the table state per advance.
 
-        The returned iterator yields once per observation, after the k-NN
-        tables have been refreshed for it: True once at least one subsequence
-        exists, False during warm-up (mirroring :meth:`update`).  Between
-        ``next()`` calls the live table views (:attr:`knn_indices`,
+        The returned generator advances one observation per ``next()`` and
+        then yields, after the k-NN tables have been refreshed for it: True
+        once at least one subsequence exists, False during warm-up
+        (mirroring :meth:`update`).  At a yield, ``send(n)`` instead advances
+        ``n >= 1`` observations before the next yield (a fresh generator's
+        first advance is a ``next()``); the generator ends once the chunk is
+        consumed, so sending past its end raises ``StopIteration``.  Between
+        advances the live table views (:attr:`knn_indices`,
         :attr:`knn_similarities`, :attr:`last_similarity_profile`) expose the
         state after the most recent observation, so callers can step the
         stream and inspect tables at any granularity.  Draining the iterator
@@ -350,9 +393,16 @@ class StreamingKNN:
         all per-point Python overhead (validation, mode dispatch, statistics
         recomputation) hoisted out of the loop.
 
+        Nobody reads the states inside one ``send(n)``, so once the window is
+        saturated a ``"streaming"`` k-NN on the numpy backend advances them
+        as blocks of up to :data:`BLOCK_ROWS` steps, each a fixed number of
+        whole-block numpy operations.  The block path is bit-identical to
+        stepping point by point: ``send`` changes only the speed.
+
         Chunked ingestion is bit-identical to point-wise ingestion: feeding
-        the same values through any partition into chunks produces exactly
-        the same tables.
+        the same values through any partition into chunks, and advancing
+        through any schedule of ``next()`` and ``send(n)``, produces exactly
+        the same tables and the same :meth:`state_dict`.
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 1:
@@ -471,7 +521,7 @@ class StreamingKNN:
     def __getstate__(self) -> dict:
         """Pickle support: drop the cached kernel callables.
 
-        The backend object and the measure-specialised similarity function
+        The backend object and the measure-specialised similarity functions
         are derived from ``(kernel_backend, similarity)`` and may be local
         closures or JIT dispatchers, neither of which pickles.  They are
         rebuilt on unpickling, so embedding a live instance in a deep-copied
@@ -480,12 +530,14 @@ class StreamingKNN:
         state = self.__dict__.copy()
         state.pop("_kernels", None)
         state.pop("_similarity_fn", None)
+        state.pop("_similarity_rows", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._kernels = get_backend(self.kernel_backend)
         self._similarity_fn = self._kernels.similarity_kernel(self.similarity)
+        self._similarity_rows = get_similarity_from_stats(self.similarity)
 
     def region_view(self, region_start: int = 0) -> RegionView:
         """Zero-copy scoring inputs for the table suffix from ``region_start`` on.
@@ -513,7 +565,7 @@ class StreamingKNN:
     # internals
     # ------------------------------------------------------------------ #
 
-    def _ingest_chunk(self, values: np.ndarray) -> Iterator[bool]:
+    def _ingest_chunk(self, values: np.ndarray) -> Generator[bool, int | None, None]:
         """Generator behind :meth:`update_many` (input already validated).
 
         The chunk is bulk-copied into the backing array and the statistics of
@@ -524,6 +576,12 @@ class StreamingKNN:
         would compact the backing array, so the buffer layout — and with it
         every floating-point operation — is a pure function of the stream
         position, never of the chunking.
+
+        ``next()`` advances one observation and ``send(n)`` advances ``n``
+        before the next yield.  An advance of two or more saturated
+        ``"streaming"`` steps on the numpy backend runs as whole-block numpy
+        operations (:meth:`_advance_blocks`); everything else steps point by
+        point.
         """
         w = self.subsequence_width
         dot_update = {
@@ -532,8 +590,11 @@ class StreamingKNN:
             "fft": self._fft_dot_products,
         }[self.mode]
         batch_fft = self.mode == "fft"
+        blocks = self.mode == "streaming" and self._kernels.name == "numpy"
         n = values.shape[0]
         position = 0
+        pending = 1  # observations to advance before the next yield
+        ready = False
         while position < n:
             write = self._start + self._length
             if write == self._capacity:
@@ -545,11 +606,27 @@ class StreamingKNN:
             first = max(0, w - 1 - self._length)
             if first < take:
                 self._compute_subsequence_stats(write + first - w + 1, take - first)
+            profiles = None
             if batch_fft and take >= FFT_BATCH_MIN and self._length == self.window_size:
-                yield from self._steps_batch_fft(take)
-            else:
-                for _ in range(take):
-                    yield self._step(dot_update)
+                profiles = self._batch_fft_profiles(take)
+            done = 0
+            while done < take:
+                count = min(pending, take - done)
+                if profiles is not None:
+                    for profile in itertools.islice(profiles, count):
+                        ready = self._step(self._precomputed_dot_products(profile))
+                elif blocks and count > 1 and self._length == self.window_size:
+                    ready = self._advance_blocks(count)
+                else:
+                    for _ in range(count):
+                        ready = self._step(dot_update)
+                done += count
+                pending -= count
+                if not pending:
+                    sent = yield ready
+                    pending = 1 if sent is None else int(sent)
+                    if pending < 1:
+                        raise ConfigurationError(f"send(n) needs n >= 1, got {sent}")
             position += take
 
     def _step(self, dot_update) -> bool:
@@ -578,19 +655,19 @@ class StreamingKNN:
         self._refresh_tables(similarities, evicted)
         return True
 
-    def _steps_batch_fft(self, take: int) -> Iterator[bool]:
-        """Advance ``take`` saturated-window steps with batched FFT profiles.
+    def _batch_fft_profiles(self, take: int) -> Iterator[np.ndarray]:
+        """Dot-product profiles of ``take`` saturated-window steps, batched by FFT.
 
-        Computes the dot-product profiles of all ``take`` steps with one
-        row-wise FFT transform per :data:`FFT_BATCH_ROWS` block — each row
-        pairs the sliding window of a step with that step's newest
+        Computes the profiles with one row-wise FFT transform per
+        :data:`FFT_BATCH_ROWS` block, lazily as the steps consume them — each
+        row pairs the sliding window of a step with that step's newest
         subsequence (reversed), exactly the operands of the per-point
         :meth:`_fft_dot_products`.  numpy's pocketfft evaluates row-wise
         transforms identically to 1-d ones, so every profile — and the
         per-step Eqn. 5 shrink written to the partial-dot-product store —
-        is bit-identical to the per-point path.  Only called when the
-        window is saturated (every step evicts), which keeps the window
-        length, FFT size and row geometry constant across the sub-chunk.
+        is bit-identical to the per-point path.  Only used when the window
+        is saturated (every step evicts), which keeps the window length,
+        FFT size and row geometry constant across the sub-chunk.
         """
         d = self.window_size
         w = self.subsequence_width
@@ -607,10 +684,181 @@ class StreamingKNN:
             queries = sliding(buffer[first + d - w : first + d + block - 1], w)[:, ::-1]
             spec = np.fft.rfft(windows, size, axis=1) * np.fft.rfft(queries, size, axis=1)
             conv = np.fft.irfft(spec, size, axis=1)
-            profiles = conv[:, w - 1 : w - 1 + m]
-            for row in range(block):
-                yield self._step(self._precomputed_dot_products(profiles[row]))
+            yield from conv[:, w - 1 : w - 1 + m]
             done += block
+
+    def _advance_blocks(self, count: int) -> bool:
+        """Advance ``count`` saturated ``"streaming"`` steps in blocks.
+
+        A block stops at :data:`BLOCK_ROWS` steps and before the step that
+        compacts the k-NN tables; a remainder of one step goes point-wise.
+        """
+        while count:
+            steps = min(count, BLOCK_ROWS, self._max_subsequences - self._row_start)
+            if steps < 2:
+                steps = 1
+                self._step(self._incremental_dot_products)
+            else:
+                self._block_step(steps)
+            count -= steps
+        return True
+
+    def _block_step(self, steps: int) -> None:
+        """Advance ``steps`` saturated steps with whole-block numpy operations.
+
+        Bit-identical to ``steps`` calls of :meth:`_step` with the numpy
+        kernels, including every backing row a checkpoint copies:
+
+        * **dot products** — the rows ``[q; E_0; -S_0; ...; E_{B-1};
+          -S_{B-1}]`` (extend terms of Eqn. 3, negated shrink terms of
+          Eqn. 5) summed by one ``np.add.accumulate``, which adds row by row,
+          and ``a + (-b) == a - b`` in IEEE 754;
+        * **similarity** — the measure's own expressions over ``(B, m)`` row
+          views of the statistics, the query's as a column;
+        * **newest rows** — top-k of each admissible prefix by ``argmax``
+          passes (first occurrence: the tie rule of ``topk_newest``);
+        * **older rows** — see :meth:`_insert_block`.
+
+        The caller guarantees a saturated window and no table compaction
+        inside the block.
+        """
+        d, w, k = self.window_size, self.subsequence_width, self.k_neighbours
+        m = self._max_subsequences
+        buffer = self._buffer
+        first = self._start + 1  # backing offset of the first step's window
+        row_start, first_global = self._row_start, self._first_global
+        dots = np.empty((2 * steps + 1, m), dtype=np.float64)
+        dots[0] = self._q_store[:m]
+        newest = buffer[first + d - 1 : first + d - 1 + steps, None]
+        oldest = buffer[first + d - w : first + d - w + steps, None]
+        np.multiply(_step_rows(buffer, first + w - 1, steps, m), newest, out=dots[1::2])
+        np.multiply(_step_rows(buffer, first, steps, m), -oldest, out=dots[2::2])
+        np.add.accumulate(dots, axis=0, out=dots)
+        self._q_store[:m] = dots[-1]
+
+        queries = slice(first + m - 1, first + m - 1 + steps)
+        complexities = query_complexities = None
+        if self._comps is not None:
+            complexities = _step_rows(self._comps, first, steps, m)
+            query_complexities = self._comps[queries, None]
+        sims = self._similarity_rows(
+            dots[1::2],
+            _step_rows(self._means, first, steps, m),
+            _step_rows(self._stds, first, steps, m),
+            self._means[queries, None],
+            self._stds[queries, None],
+            w,
+            complexities,
+            query_complexities,
+        )
+
+        # the newest row of step b lands at backing row row_start + m + b
+        low = max(0, m - self.exclusion)
+        new_rows = slice(row_start + m, row_start + m + steps)
+        new_idx = self._knn_idx[new_rows]
+        new_sim = self._knn_sim[new_rows]
+        new_idx.fill(PADDING_INDEX)
+        new_sim.fill(-np.inf)
+        if low > 0:
+            step = np.arange(steps)
+            take = min(k, low)
+            candidates = sims[:, :low].copy()
+            for slot in range(take):
+                best = candidates.argmax(axis=1)
+                new_idx[:, slot] = best
+                new_sim[:, slot] = candidates[step, best]
+                candidates[step, best] = -np.inf
+            new_idx[:, :take] += step[:, None] + (first_global + 1)
+        self._worst_sim[new_rows] = new_sim[:, k - 1]
+        self._thresholds[new_rows] = _rank_smallest_rows(new_idx, self._threshold_rank)
+        if low > 0:
+            self._insert_block(sims[:, :low])
+
+        self._last_similarities = sims[-1].copy()
+        self._start += steps
+        self._evictions += steps
+        self._row_start += steps
+        self._first_global += steps
+
+    def _insert_block(self, offers: np.ndarray) -> None:
+        """Insert a block's newest subsequences into the older rows they beat.
+
+        ``offers[b]`` is step ``b``'s admissible prefix: at step ``b`` the row
+        with global id ``first_global + 1 + u`` is offered ``offers[b, u - b]``
+        by the subsequence with global id ``first_global + m + b``.  A skewed
+        view lines each row's offers up in step order (``-inf`` where a step
+        offers it nothing), so rows created inside the block are offered the
+        later steps' candidates too.
+
+        A row whose offers all fail its stored worst is untouched, as in the
+        per-point path.  Otherwise sequential sorted insertion keeps the
+        top-k of the stored and offered entries in descending order, which a
+        stable descending sort of ``[stored, offers]`` reproduces unless an
+        offer ties another entry above the stored worst: sequential insertion
+        puts a candidate before equal entries but rejects one equal to the
+        worst.  Those rows replay their offers in step order through the
+        backend's ``insert_newest``.
+        """
+        steps, low = offers.shape
+        k, m = self.k_neighbours, self._max_subsequences
+        rank = self._threshold_rank
+        # padded[b, j] = offers[b, j] (j < low) or -inf; reading it with row
+        # stride 1 and step stride low + steps - 1 gives offered[u, b] =
+        # padded[b, u - b], the padding of row b - 1 standing in for u < b
+        padded = np.empty((steps, low + steps), dtype=np.float64)
+        padded[:, :low] = offers
+        padded[:, low:] = -np.inf
+        span = low + steps - 1  # rows offered anything: global ids first_global + 1 + u
+        itemsize = padded.itemsize
+        offered = np.ndarray((span, steps), np.float64, padded, 0, (itemsize, span * itemsize))
+        base = self._row_start + 1
+        worst = self._worst_sim[base : base + span]
+        beaten = (np.maximum.reduce(offered, axis=1) > worst).nonzero()[0]
+        if beaten.shape[0] == 0:
+            return
+        rows = beaten + base
+        stored_idx = self._knn_idx[rows]
+        values = np.concatenate((self._knn_sim[rows], offered[beaten]), axis=1)
+        order = (-values).argsort(axis=1, kind="stable")
+        chosen = np.arange(beaten.shape[0])[:, None]
+        ranked = values[chosen, order]
+        # among equal values the stable sort puts stored entries first, then
+        # offers in step order: an equal pair ending in an offer is a tie
+        tied = (
+            (ranked[:, 1:] == ranked[:, :-1])
+            & (order[:, 1:] >= k)
+            & (ranked[:, 1:] > worst[beaten, None])
+        ).any(axis=1)
+        replay = tied.nonzero()[0]
+        if replay.shape[0]:
+            tables = (
+                stored_idx[replay],
+                values[replay, :k],
+                worst[beaten[replay]],
+                self._thresholds[rows[replay]],
+            )
+        keep = order[:, :k]
+        # column k + b holds step b's offer, global id first_global + m + b
+        patched_idx = np.where(
+            keep < k,
+            stored_idx[chosen, np.minimum(keep, k - 1)],
+            keep + (self._first_global + m - k),
+        )
+        patched = ranked[:, :k]
+        self._knn_sim[rows] = patched
+        self._knn_idx[rows] = patched_idx
+        self._worst_sim[rows] = patched[:, k - 1]
+        self._thresholds[rows] = _rank_smallest_rows(patched_idx, rank)
+        if replay.shape[0]:
+            offers_of = offered[beaten[replay]]
+            for step in range(steps):
+                newest = self._first_global + m + step
+                self._kernels.insert_newest(*tables, offers_of[:, step], newest, rank)
+            target = rows[replay]
+            self._knn_idx[target] = tables[0]
+            self._knn_sim[target] = tables[1]
+            self._worst_sim[target] = tables[2]
+            self._thresholds[target] = tables[3]
 
     def _precomputed_dot_products(self, full: np.ndarray):
         """Adapt one batched profile row to the ``dot_update`` interface.

@@ -121,6 +121,28 @@ class TestClaSSEquivalence:
             assert feed_chunked(segmenter, values, chunk_size) == detected
             self.assert_identical(reference, segmenter)
 
+    @pytest.mark.parametrize(
+        "scoring_interval, similarity, knn_mode",
+        [
+            (10, "euclidean", "streaming"),
+            (7, "cid", "streaming"),
+            (13, "pearson", "fft"),
+            (10, "pearson", "recompute"),
+        ],
+    )
+    def test_scoring_intervals_other_measures_and_modes(
+        self, rng, scoring_interval, similarity, knn_mode
+    ):
+        # chunked runs advance the k-NN a scoring interval per send(): blocks
+        # for saturated numpy "streaming", per-point steps for the other modes
+        config = dict(scoring_interval=scoring_interval, similarity=similarity, knn_mode=knn_mode)
+        values = stream(rng)
+        reference, detected = self.reference_run(values, **config)
+        for chunk_size in CHUNKINGS:
+            segmenter = ClaSS(window_size=1_000, **config)
+            assert feed_chunked(segmenter, values, chunk_size) == detected
+            self.assert_identical(reference, segmenter)
+
     def test_threshold_pruned_passes(self, rng):
         # regions of over 1,024 splits: the score-threshold bound skips passes
         values = stream(rng, 3_000)

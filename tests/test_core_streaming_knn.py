@@ -1,12 +1,16 @@
 """Unit and property tests for the exact streaming k-NN (Algorithm 2)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.class_segmenter import ClaSS
 from repro.core.similarity import SIMILARITY_MEASURES, pairwise_similarity_matrix
 from repro.core.streaming_knn import (
+    BLOCK_ROWS,
     FFT_BATCH_MIN,
     KNN_MODES,
     PADDING_INDEX,
@@ -288,3 +292,203 @@ class TestChunkedIngestion:
         ingest(knn, values)
         np.testing.assert_array_equal(knn.window, values[-90:])
         assert knn.n_evicted == 1_000 - 90
+
+
+def state_bytes(knn: StreamingKNN) -> list[bytes]:
+    """The whole checkpoint payload, byte for byte (stale backing rows included).
+
+    Pickled entry by entry: a restored array may carry an equal but distinct
+    dtype object, which changes how one pickle of the whole dict memoises.
+    """
+    return [pickle.dumps(item) for item in knn.state_dict().items()]
+
+
+def advance(steps, schedule, n: int) -> None:
+    """Advance a fresh ``update_many`` generator over ``n`` values by ``schedule``.
+
+    The first advance is a ``next()`` (one observation); then ``send(size)``
+    cycles through ``schedule``, the last send cut to what is left.
+    """
+    next(steps)
+    done = 0
+    position = 1
+    while position < n:
+        size = min(schedule[done % len(schedule)], n - position)
+        steps.send(size)
+        position += size
+        done += 1
+    steps.close()
+
+
+def pass_through(steps):
+    """A ``yield from`` wrapper, the shape of a tracer around ``update_many``."""
+    yield from steps
+
+
+def block_values(kind: str, n: int, seed: int) -> np.ndarray:
+    """Streams rich in exact similarity ties (quantised, flat, periodic) or plain noise."""
+    rng = np.random.default_rng(seed)
+    if kind == "quantised":
+        return np.round(rng.normal(size=n) * 2.0) / 2.0
+    if kind == "flat":
+        values = rng.normal(size=n)
+        for start in rng.integers(0, n, size=4):
+            values[start : start + int(rng.integers(5, 40))] = float(rng.integers(-2, 3))
+        return values
+    if kind == "periodic":
+        period = rng.normal(size=int(rng.integers(2, 9)))
+        return np.tile(period, n // period.shape[0] + 1)[:n]
+    return rng.normal(size=n)
+
+
+class TestSendAndBlocks:
+    """``send(n)`` advances n observations; saturated numpy blocks are bit-identical."""
+
+    @given(
+        width=st.integers(min_value=2, max_value=8),
+        extra=st.integers(min_value=0, max_value=60),
+        k=st.integers(min_value=1, max_value=4),
+        similarity=st.sampled_from(SIMILARITY_MEASURES),
+        kind=st.sampled_from(("noise", "quantised", "flat", "periodic")),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chunks=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=5),
+        schedule=st.lists(
+            st.integers(min_value=1, max_value=3 * BLOCK_ROWS), min_size=1, max_size=6
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_state_bit_identical_to_pointwise(
+        self, width, extra, k, similarity, kind, seed, chunks, schedule
+    ):
+        window = 2 * width + extra
+        values = block_values(kind, 4 * window + 40, seed)
+        config = dict(
+            window_size=window,
+            subsequence_width=width,
+            k_neighbours=k,
+            similarity=similarity,
+            kernel_backend="numpy",
+        )
+        reference = StreamingKNN(**config)
+        sent = StreamingKNN(**config)
+        position = 0
+        index = 0
+        # the chunks cycle until the stream (several buffer and table
+        # compactions long) is consumed; states must agree after every chunk
+        while position < values.shape[0]:
+            chunk = values[position : position + chunks[index % len(chunks)]]
+            for value in chunk:
+                reference.update(float(value))
+            advance(sent.update_many(chunk), schedule, chunk.shape[0])
+            assert state_bytes(sent) == state_bytes(reference)
+            position += chunk.shape[0]
+            index += 1
+
+    def test_blocks_run_and_span_more_than_the_exclusion_radius(self, rng, monkeypatch):
+        calls = []
+        block_step = StreamingKNN._block_step
+
+        def counted(knn, steps):
+            calls.append(steps)
+            return block_step(knn, steps)
+
+        monkeypatch.setattr(StreamingKNN, "_block_step", counted)
+        values = block_values("quantised", 700, 3)
+        config = dict(window_size=60, subsequence_width=4, kernel_backend="numpy")
+        knn = StreamingKNN(**config)
+        advance(knn.update_many(values), [BLOCK_ROWS + 5, 9, 2], values.shape[0])
+        reference = StreamingKNN(**config)
+        for value in values:
+            reference.update(float(value))
+        assert state_bytes(knn) == state_bytes(reference)
+        assert max(calls) == BLOCK_ROWS > exclusion_radius(4)
+        assert min(calls) >= 2
+
+    @pytest.mark.parametrize("backend", ("numpy", "loops"))
+    @pytest.mark.parametrize("mode", KNN_MODES)
+    def test_send_advances_n_observations(self, rng, backend, mode):
+        values = rng.normal(size=260)
+        knn = StreamingKNN(window_size=40, subsequence_width=5, mode=mode, kernel_backend=backend)
+        steps = knn.update_many(values)
+        assert next(steps) is False  # one observation, still warming up
+        assert knn.n_seen == 1
+        assert steps.send(3) is False
+        assert knn.n_seen == 4
+        assert steps.send(FFT_BATCH_MIN + 100) is True  # across the batch-FFT sub-chunk
+        assert knn.n_seen == 4 + FFT_BATCH_MIN + 100
+        # the same generator stepped by next() (the whole chunk is in both
+        # buffers already) reaches the same state
+        reference = StreamingKNN(window_size=40, subsequence_width=5, mode=mode)
+        pointwise = reference.update_many(values)
+        for _ in range(knn.n_seen):
+            next(pointwise)
+        assert state_bytes(knn) == state_bytes(reference)
+        with pytest.raises(StopIteration):
+            steps.send(values.shape[0])  # past the end: the rest is ingested
+        assert knn.n_seen == values.shape[0]
+
+    def test_send_rejects_non_positive_advance(self, rng):
+        knn = StreamingKNN(window_size=40, subsequence_width=5)
+        steps = knn.update_many(rng.normal(size=50))
+        next(steps)
+        with pytest.raises(ConfigurationError):
+            steps.send(0)
+
+    @pytest.mark.parametrize("mode", KNN_MODES)
+    def test_send_through_yield_from_wrapper(self, rng, mode):
+        values = block_values("periodic", 500, 11) + rng.normal(0.0, 1e-3, 500)
+        config = dict(window_size=70, subsequence_width=6, mode=mode, kernel_backend="numpy")
+        wrapped = StreamingKNN(**config)
+        advance(pass_through(wrapped.update_many(values)), [10, 1, 47], values.shape[0])
+        reference = StreamingKNN(**config)
+        for value in values:
+            reference.update(float(value))
+        assert state_bytes(wrapped) == state_bytes(reference)
+
+    @pytest.mark.parametrize("similarity", SIMILARITY_MEASURES)
+    def test_checkpoint_between_pauses_resumes_identically(self, similarity):
+        values = block_values("flat", 900, 5)
+        config = dict(
+            window_size=80, subsequence_width=7, similarity=similarity, kernel_backend="numpy"
+        )
+        reference = StreamingKNN(**config)
+        for value in values:
+            reference.update(float(value))
+        first = StreamingKNN(**config)
+        steps = first.update_many(values)
+        next(steps)
+        for _ in range(30):
+            steps.send(13)  # pause at observation 391, mid-generator
+        snapshot = pickle.loads(pickle.dumps(first.state_dict()))
+        steps.close()
+        resumed = StreamingKNN(**config)
+        resumed.load_state_dict(snapshot)
+        rest = values[first.n_seen :]
+        advance(resumed.update_many(rest), [13], rest.shape[0])
+        assert state_bytes(resumed) == state_bytes(reference)
+
+
+class TestCheckpointBytes:
+    """Checkpoints carry no uninitialised memory: equal runs, equal bytes."""
+
+    @staticmethod
+    def run_after_freeing(sentinel: float, values: np.ndarray) -> bytes:
+        # hand the allocator same-sized blocks full of a sentinel first: an
+        # np.empty-allocated backing array would inherit their bytes
+        junk = [np.full(200, sentinel) for _ in range(8)]
+        del junk
+        segmenter = ClaSS(window_size=100, subsequence_width=5, scoring_interval=10)
+        segmenter.process(values)
+        return pickle.dumps(segmenter.save_state())
+
+    def test_identical_runs_save_identical_bytes(self, rng):
+        values = rng.normal(size=150)  # leaves the backing arrays' tails unwritten
+        first = self.run_after_freeing(-np.inf, values)
+        second = self.run_after_freeing(0.123456789, values)
+        assert first == second
+
+    def test_fresh_backing_arrays_are_zero(self):
+        knn = StreamingKNN(window_size=50, subsequence_width=5, similarity="cid")
+        state = knn.state_dict()
+        for key in ("buffer", "means", "stds", "comps", "q_store"):
+            assert not state[key].any(), key
