@@ -2,9 +2,10 @@
 """Public-API surface gate: fail CI on silent breakage of ``repro.api``.
 
 The committed ``api_surface.txt`` pins the public surface of the unified
-detector API — every name in ``repro.api.__all__`` plus every registry key
-with its config class.  This script rebuilds the surface from a live import
-and diffs it against the committed file:
+detector API — every name in ``repro.api.__all__``, every registry key with
+its config class, and every field of that config (``config:<key>.<field>``,
+so an option added or removed shows in review).  This script rebuilds the
+surface from a live import and diffs it against the committed file:
 
 * an entry missing from the live surface is a silent breaking change — the
   gate fails,
@@ -18,6 +19,7 @@ surface change to rewrite the pin, and commit the diff alongside the code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -31,7 +33,7 @@ HEADER = (
 
 
 def current_surface() -> list[str]:
-    """The live API surface: exported names plus registry key -> config pairs."""
+    """The live API surface: exported names, registry key -> config pairs, config fields."""
     src = REPO_ROOT / "src"
     if str(src) not in sys.path:
         sys.path.insert(0, str(src))
@@ -39,7 +41,9 @@ def current_surface() -> list[str]:
 
     lines = [f"api:{name}" for name in sorted(api.__all__)]
     for key in api.available():
-        lines.append(f"registry:{key}={api.spec(key).config_cls.__name__}")
+        config_cls = api.spec(key).config_cls
+        lines.append(f"registry:{key}={config_cls.__name__}")
+        lines.extend(f"config:{key}.{field.name}" for field in dataclasses.fields(config_cls))
     return lines
 
 

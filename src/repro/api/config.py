@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
-from repro.core.cross_val import CROSS_VAL_IMPLEMENTATIONS
 from repro.core.kernels import KERNEL_BACKENDS
 from repro.core.quality import DataPolicy, coerce_data_policy
 from repro.core.scoring import SCORE_FUNCTIONS
@@ -37,6 +36,12 @@ from repro.core.streaming_knn import KNN_MODES
 from repro.core.window_size import WSS_METHODS
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.validation import check_positive_int, check_probability
+
+
+#: The ClaSP scoring switch retired from ClaSSConfig and ClaSPConfig.  Its four
+#: implementations scored bit-identically, so a stored document naming any of
+#: them loads as the config it describes today.
+_RETIRED_SCORING = {"cross_val_implementation": ("fast", "vectorised", "incremental", "naive")}
 
 
 def _check_unit_interval(value: float, name: str) -> None:
@@ -85,6 +90,10 @@ class SegmenterConfig:
     #: Registry key of the detector this config describes.
     detector: ClassVar[str] = ""
 
+    #: Removed fields, each with the values that documents written before its
+    #: removal may still carry; :meth:`from_dict` drops them.
+    _retired: ClassVar[dict[str, tuple[str, ...]]] = {}
+
     #: Optional dirty-data policy shared by every detector config.  None (the
     #: default) keeps the seed reject-everything behaviour; a non-reject
     #: policy makes :func:`repro.api.create` wrap the detector in a
@@ -121,9 +130,22 @@ class SegmenterConfig:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "SegmenterConfig":
-        """Rebuild a config from :meth:`to_dict` output; unknown keys are rejected."""
+        """Rebuild a config from :meth:`to_dict` output; unknown keys are rejected.
+
+        A retired field is dropped when it carries one of its old values and
+        rejected otherwise, so documents written before its removal still load.
+        """
         if not isinstance(payload, dict):
             raise ConfigurationError(f"{cls.__name__}.from_dict expects a mapping")
+        for name, old_values in cls._retired.items():
+            if name in payload:
+                value = payload[name]
+                if not (isinstance(value, str) and value in old_values):
+                    raise ConfigurationError(
+                        f"retired {cls.__name__} field {name!r} must be one of "
+                        f"{list(old_values)}, got {value!r}"
+                    )
+                payload = {key: item for key, item in payload.items() if key != name}
         fields_by_name = {f.name: f for f in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - set(fields_by_name))
         if unknown:
@@ -224,9 +246,6 @@ class ClaSSConfig(SegmenterConfig):
         Minimum best-split score in ``[0, 1]`` for a change-point report.
     relearn_width:
         Re-estimate the subsequence width after each detected change point.
-    cross_val_implementation:
-        Cross-validation kernel from ``CROSS_VAL_IMPLEMENTATIONS``
-        (``"fast"`` is the incremental zero-copy path).
     knn_mode:
         Streaming k-NN update mode from ``KNN_MODES`` (``"streaming"`` or
         the batched ``"fft"`` path).
@@ -254,6 +273,7 @@ class ClaSSConfig(SegmenterConfig):
     """
 
     detector: ClassVar[str] = "class"
+    _retired: ClassVar[dict[str, tuple[str, ...]]] = _RETIRED_SCORING
 
     window_size: int = 10_000
     subsequence_width: int | None = None
@@ -267,7 +287,6 @@ class ClaSSConfig(SegmenterConfig):
     excl_factor: int = 5
     score_threshold: float = 0.75
     relearn_width: bool = False
-    cross_val_implementation: str = "fast"
     knn_mode: str = "streaming"
     kernel_backend: str = "auto"
     random_state: int | None = 2357
@@ -296,10 +315,6 @@ class ClaSSConfig(SegmenterConfig):
         check_positive_int(self.scoring_interval, "scoring_interval")
         check_positive_int(self.excl_factor, "excl_factor")
         _check_unit_interval(self.score_threshold, "score_threshold")
-        if self.cross_val_implementation not in CROSS_VAL_IMPLEMENTATIONS:
-            raise ConfigurationError(
-                f"unknown cross_val_implementation {self.cross_val_implementation!r}"
-            )
         if self.knn_mode not in KNN_MODES:
             raise ConfigurationError(
                 f"unknown mode {self.knn_mode!r}; expected one of {KNN_MODES}"
@@ -441,8 +456,6 @@ class ClaSPConfig(SegmenterConfig):
         Minimum split score in ``[0, 1]`` to keep recursing.
     knn_backend:
         ``"streaming"`` (ring-buffer k-NN) or ``"bruteforce"``.
-    cross_val_implementation:
-        Cross-validation kernel from ``CROSS_VAL_IMPLEMENTATIONS``.
     random_state:
         Seed of the permutation test's generator (``None`` = nondeterministic).
     data_policy:
@@ -464,6 +477,7 @@ class ClaSPConfig(SegmenterConfig):
     """
 
     detector: ClassVar[str] = "clasp"
+    _retired: ClassVar[dict[str, tuple[str, ...]]] = _RETIRED_SCORING
 
     subsequence_width: int | None = None
     k_neighbours: int = 3
@@ -475,7 +489,6 @@ class ClaSPConfig(SegmenterConfig):
     similarity: str = "pearson"
     score_threshold: float = 0.75
     knn_backend: str = "streaming"
-    cross_val_implementation: str = "fast"
     random_state: int | None = 2357
 
     def validate(self) -> "ClaSPConfig":
@@ -499,10 +512,6 @@ class ClaSPConfig(SegmenterConfig):
         _check_unit_interval(self.score_threshold, "score_threshold")
         if self.knn_backend not in ("streaming", "bruteforce"):
             raise ConfigurationError("knn_backend must be 'streaming' or 'bruteforce'")
-        if self.cross_val_implementation not in CROSS_VAL_IMPLEMENTATIONS:
-            raise ConfigurationError(
-                f"unknown cross_val_implementation {self.cross_val_implementation!r}"
-            )
         _check_significance(self.significance_level, self.sample_size)
         return self
 

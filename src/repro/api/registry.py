@@ -33,7 +33,7 @@ from repro.api.config import (
     SegmenterConfig,
     WindowConfig,
 )
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.exceptions import ConfigurationError, ReproError
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,8 @@ def create(key: str, config: SegmenterConfig | dict | None = None, **overrides):
     ------
     ConfigurationError
         For unknown keys, config instances of the wrong type, unknown
-        config fields, or field values the config's ``validate`` rejects.
+        config fields, or field values the config's ``validate`` rejects
+        (wrongly typed values included).
 
     Example
     -------
@@ -224,19 +225,24 @@ def create(key: str, config: SegmenterConfig | dict | None = None, **overrides):
     0
     """
     detector_spec = spec(key)
-    if config is None:
-        config_cls = detector_spec.config_cls
-        effective = config_cls(**overrides) if overrides else config_cls()
-    else:
-        if isinstance(config, dict):
-            config = detector_spec.config_cls.from_dict(config)
-        if not isinstance(config, detector_spec.config_cls):
+    config_cls = detector_spec.config_cls
+    try:
+        if config is None:
+            config = config_cls()
+        elif isinstance(config, dict):
+            config = config_cls.from_dict(config)
+        if not isinstance(config, config_cls):
             raise ConfigurationError(
-                f"detector {detector_spec.key!r} expects a {detector_spec.config_cls.__name__}, "
+                f"detector {detector_spec.key!r} expects a {config_cls.__name__}, "
                 f"got {type(config).__name__}"
             )
         effective = config.replace(**overrides) if overrides else config
-    effective.validate()
+        effective.validate()
+    except ReproError:
+        raise
+    except (TypeError, ValueError) as error:
+        # a wrongly typed field value fails a cast or comparison in validate
+        raise ConfigurationError(f"invalid {config_cls.__name__}: {error}") from error
     segmenter = detector_spec.builder(effective)
     policy = effective.data_policy
     if policy is not None and policy.sanitizes:

@@ -58,7 +58,6 @@ from repro.api import (
     stream,
 )
 from repro.core.class_segmenter import capped_window_size
-from repro.core.cross_val import CROSS_VAL_IMPLEMENTATIONS
 from repro.core.kernels import KERNEL_BACKENDS
 from repro.core.quality import NAN_POLICIES
 from repro.datasets import COLLECTIONS, SegmentSpec, compose_stream, load_collection
@@ -149,7 +148,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 subsequence_width=args.subsequence_width,
                 scoring_interval=args.scoring_interval,
                 significance_level=args.significance_level,
-                cross_val_implementation=args.cross_val,
                 kernel_backend=args.backend,
                 data_policy=data_policy,
             )
@@ -433,13 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1_024,
         help="observations per ingestion chunk (results are identical for any value)",
-    )
-    segment_parser.add_argument(
-        "--cross-val",
-        default="fast",
-        choices=sorted(CROSS_VAL_IMPLEMENTATIONS),
-        help="ClaSP scoring implementation (change points are identical for all; "
-        "'fast' consumes the incrementally cached thresholds)",
     )
     segment_parser.add_argument(
         "--backend",

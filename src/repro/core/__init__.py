@@ -4,9 +4,7 @@ from repro.core.class_segmenter import DEFAULT_WINDOW_SIZE, ChangePointReport, C
 from repro.core.clasp_batch import BatchSegmentation, ClaSP
 from repro.core.multivariate import FusedChangePoint, MultivariateClaSS
 from repro.core.cross_val import (
-    CROSS_VAL_IMPLEMENTATIONS,
     CrossValidationResult,
-    cross_val_scores_fast,
     cross_val_scores_from_thresholds,
     cross_val_scores_incremental,
     cross_val_scores_naive,
@@ -71,9 +69,7 @@ __all__ = [
     "SCORE_FUNCTIONS",
     "WSS_METHODS",
     "KNN_MODES",
-    "CROSS_VAL_IMPLEMENTATIONS",
     "PADDING_INDEX",
-    "cross_val_scores_fast",
     "cross_val_scores_from_thresholds",
     "cross_val_scores_vectorised",
     "cross_val_scores_incremental",

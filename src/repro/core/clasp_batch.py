@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.cross_val import (
-    CROSS_VAL_IMPLEMENTATIONS,
     cross_val_scores_from_thresholds,
     prediction_thresholds,
     predictions_for_split,
@@ -73,10 +72,6 @@ class ClaSP:
         ``"streaming"`` (run the streaming k-NN over the full series, O(n^2)
         worst case but memory-light) or ``"bruteforce"`` (dense similarity
         matrix, O(n^2) memory — only for short series / tests).
-    cross_val_implementation:
-        ``"fast"`` (default, fused score kernel), ``"vectorised"``,
-        ``"incremental"`` or ``"naive"`` — all four produce identical
-        segmentations; the slower ones are kept as oracles / ablations.
     """
 
     def __init__(
@@ -91,15 +86,10 @@ class ClaSP:
         similarity: str = "pearson",
         score_threshold: float = 0.75,
         knn_backend: str = "streaming",
-        cross_val_implementation: str = "fast",
         random_state: int | None = 2357,
     ) -> None:
         if knn_backend not in ("streaming", "bruteforce"):
             raise ConfigurationError("knn_backend must be 'streaming' or 'bruteforce'")
-        if cross_val_implementation not in CROSS_VAL_IMPLEMENTATIONS:
-            raise ConfigurationError(
-                f"unknown cross_val_implementation {cross_val_implementation!r}"
-            )
         self.subsequence_width = subsequence_width
         self.k_neighbours = int(k_neighbours)
         self.score = score
@@ -108,7 +98,6 @@ class ClaSP:
         self.similarity = similarity
         self.score_threshold = float(score_threshold)
         self.knn_backend = knn_backend
-        self.cross_val_implementation = cross_val_implementation
         self.significance = ChangePointSignificanceTest(
             significance_level=significance_level,
             sample_size=sample_size,
@@ -131,7 +120,11 @@ class ClaSP:
         return knn.knn_indices.copy()
 
     def profile(self, values: np.ndarray, subsequence_width: int | None = None) -> ClaSPProfile:
-        """Compute the ClaSP of a complete series."""
+        """Compute the ClaSP of a complete series.
+
+        The k-NN table is sorted into prediction thresholds once; both travel
+        in the profile's ``metadata`` (``"knn_indices"``, ``"thresholds"``).
+        """
         values = check_array_1d(values, "values", min_length=20)
         width = subsequence_width or self.subsequence_width
         if width is None:
@@ -144,15 +137,15 @@ class ClaSP:
                 f"series of length {values.shape[0]} too short for width {width}"
             )
         knn_indices = self._knn(values, width)
-        cross_val = CROSS_VAL_IMPLEMENTATIONS[self.cross_val_implementation]
-        result = cross_val(knn_indices, exclusion=width, score=self.score)
+        thresholds = prediction_thresholds(knn_indices)
+        result = cross_val_scores_from_thresholds(thresholds, exclusion=width, score=self.score)
         return ClaSPProfile(
             scores=result.scores,
             splits=result.splits,
             region_start=0,
             window_start_time=0,
             subsequence_width=width,
-            metadata={"knn_indices": knn_indices},
+            metadata={"knn_indices": knn_indices, "thresholds": thresholds},
         )
 
     def fit_predict(self, values: np.ndarray) -> BatchSegmentation:
@@ -160,44 +153,31 @@ class ClaSP:
         values = check_array_1d(values, "values", min_length=20)
         profile = self.profile(values)
         width = profile.subsequence_width
-        knn_indices = profile.metadata["knn_indices"]
+        thresholds = profile.metadata["thresholds"]
 
         change_points: list[int] = []
         scores: dict[int, float] = {}
         budget = self.n_change_points if self.n_change_points is not None else values.shape[0]
 
-        # recursive splitting on subsequence-index intervals.  The fast path
-        # sorts the k-NN table into prediction thresholds exactly once: a
-        # segment's thresholds are the full-table threshold slice shifted by
-        # the segment start (the per-row order statistic commutes with the
-        # offset subtraction), so every recursion level scores zero-copy.
-        fast_path = self.cross_val_implementation == "fast"
-        thresholds = prediction_thresholds(knn_indices) if fast_path else None
-        segments = [(0, knn_indices.shape[0])]
-        cross_val = CROSS_VAL_IMPLEMENTATIONS[self.cross_val_implementation]
+        # recursive splitting on subsequence-index intervals.  A segment's
+        # thresholds are the profile's threshold slice shifted by the segment
+        # start (the per-row order statistic commutes with the offset
+        # subtraction), so every recursion level scores zero-copy.
+        segments = [(0, thresholds.shape[0])]
         while segments and len(change_points) < budget:
             start, end = segments.pop(0)
             length = end - start
             if length < 4 * width:
                 continue
-            if fast_path:
-                result = cross_val_scores_from_thresholds(
-                    thresholds[start:end], exclusion=width, score=self.score, offset=start
-                )
-            else:
-                local_knn = knn_indices[start:end] - start
-                result = cross_val(local_knn, exclusion=width, score=self.score)
+            result = cross_val_scores_from_thresholds(
+                thresholds[start:end], exclusion=width, score=self.score, offset=start
+            )
             if result.scores.size == 0:
                 continue
             split, score_value = result.best_split()
             if score_value < self.score_threshold:
                 continue
-            if fast_path:
-                y_pred = predictions_for_split(
-                    None, split, thresholds=thresholds[start:end], offset=start
-                )
-            else:
-                y_pred = predictions_for_split(local_knn, split)
+            y_pred = predictions_for_split(thresholds[start:end], split, start)
             outcome = self.significance.test(y_pred, split)
             if not outcome.significant:
                 continue

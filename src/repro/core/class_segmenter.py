@@ -50,7 +50,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.core.cross_val import (
-    CROSS_VAL_IMPLEMENTATIONS,
     breakpoints_from_thresholds,
     cross_val_scores_from_thresholds,
     predictions_for_split,
@@ -170,13 +169,6 @@ class ClaSS:
         If True the subsequence width is re-learned from the evolving segment
         after every reported change point (the optional concept-drift mode of
         §3.4).
-    cross_val_implementation:
-        ``"fast"`` (default) consumes the prediction thresholds maintained
-        incrementally by the streaming k-NN through the fused score kernel —
-        zero copies, no per-pass sort.  ``"vectorised"``, ``"incremental"``
-        (the paper's sequential Algorithm 3) and ``"naive"`` (O(d^2)) are
-        kept as oracles and for ablations; all four report bit-identical
-        change points.
     knn_mode:
         Dot-product strategy of the streaming k-NN: ``"streaming"``,
         ``"recompute"`` or ``"fft"`` (ablation modes of §4.4).
@@ -205,7 +197,6 @@ class ClaSS:
         excl_factor: int = 5,
         score_threshold: float = 0.75,
         relearn_width: bool = False,
-        cross_val_implementation: str = "fast",
         knn_mode: str = "streaming",
         kernel_backend: str = "auto",
         random_state: int | None = 2357,
@@ -226,7 +217,6 @@ class ClaSS:
                 excl_factor=excl_factor,
                 score_threshold=score_threshold,
                 relearn_width=relearn_width,
-                cross_val_implementation=cross_val_implementation,
                 knn_mode=knn_mode,
                 kernel_backend=kernel_backend,
                 random_state=random_state,
@@ -255,11 +245,10 @@ class ClaSS:
         self.excl_factor = int(config.excl_factor)
         self.score_threshold = float(config.score_threshold)
         self.relearn_width = bool(config.relearn_width)
-        self.cross_val_implementation = config.cross_val_implementation
         self.knn_mode = config.knn_mode
         self.kernel_backend = config.kernel_backend
-        # resolve once: the scoring fast path hands the backend's fused
-        # split-score kernel to the cross-validation
+        # resolve once: scoring hands the backend's fused split-score kernel
+        # to the cross-validation
         self._kernels = get_backend(config.kernel_backend)
         self.significance = ChangePointSignificanceTest(
             significance_level=config.significance_level,
@@ -635,25 +624,19 @@ class ClaSS:
             window_start_time=self._n_seen - self._knn.n_buffered,
             subsequence_width=width,
         )
-        fast_path = self.cross_val_implementation == "fast"
-        if fast_path:
-            # zero-copy: the k-NN core maintains the prediction thresholds
-            # incrementally, so scoring reads views of live ring buffers and
-            # never materialises the (m, k) neighbour table.
-            region = self._knn.region_view(region_start)
-            if not force and self._pruned(region, exclusion, placement):
-                return None
-            result = cross_val_scores_from_thresholds(
-                region.thresholds,
-                exclusion=exclusion,
-                score=self.score,
-                offset=region.offset,
-                kernels=self._kernels,
-            )
-        else:
-            region_knn = self._knn.knn_indices[region_start:] - region_start
-            cross_val = CROSS_VAL_IMPLEMENTATIONS[self.cross_val_implementation]
-            result = cross_val(region_knn, exclusion=exclusion, score=self.score)
+        # zero-copy: the k-NN core maintains the prediction thresholds
+        # incrementally, so scoring reads views of live ring buffers and
+        # never materialises the (m, k) neighbour table.
+        region = self._knn.region_view(region_start)
+        if not force and self._pruned(region, exclusion, placement):
+            return None
+        result = cross_val_scores_from_thresholds(
+            region.thresholds,
+            exclusion=exclusion,
+            score=self.score,
+            offset=region.offset,
+            kernels=self._kernels,
+        )
         profile = ClaSPProfile(scores=result.scores, splits=result.splits, **placement)
         self._last_profile = profile
         if profile.is_empty:
@@ -662,14 +645,9 @@ class ClaSS:
         split, score_value = profile.global_maximum()
         if score_value < self.score_threshold:
             return None
-        if fast_path:
-            # reuse the cached thresholds: the significance gate's labels are
-            # one comparison, not a second sort over the region's k-NN table
-            y_pred = predictions_for_split(
-                None, split, thresholds=region.thresholds, offset=region.offset
-            )
-        else:
-            y_pred = predictions_for_split(region_knn, split)
+        # reuse the cached thresholds: the significance gate's labels are one
+        # comparison, not a sort over the region's k-NN table
+        y_pred = predictions_for_split(region.thresholds, split, region.offset)
         outcome = self.significance.test(y_pred, split)
         if not outcome.significant:
             return None

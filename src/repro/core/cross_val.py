@@ -10,30 +10,34 @@ Profile (ClaSP).
 
 The paper's key contribution here (Algorithm 3) is computing all splits in
 O(d) total by exploiting that consecutive splits differ in exactly one ground
-truth label.  This module contains:
+truth label.  For a majority vote over ``k`` neighbours, the predicted label
+of subsequence ``i`` as a function of the split ``s`` is a step function that
+flips from 1 to 0 once ``s`` exceeds the ⌈k/2⌉-th smallest neighbour offset,
+its *prediction threshold*.  All confusion-matrix entries for all splits
+therefore reduce to cumulative histograms over those thresholds.
+
+:func:`cross_val_scores_from_thresholds` is the one scoring path of ClaSS and
+batch ClaSP: it consumes the thresholds (cached incrementally by the
+streaming k-NN, or sorted once from a k-NN table with
+:func:`prediction_thresholds`) through the fused score kernel of
+:func:`repro.core.scoring.fused_split_scores`, which skips the per-split
+confusion-count arrays; the full :class:`CrossValidationResult` counts are
+computed lazily on first access.
+
+Three reference implementations over a plain ``(m, k)`` k-NN table have no
+product caller.  The tests compare every scoring pass against them, and the
+§4.4 runtime ablation (``benchmarks/bench_knn_modes.py``) times them:
 
 * :func:`cross_val_scores_incremental` — a faithful implementation of
-  Algorithm 3 (reverse-NN index, per-split confusion-matrix deltas).  It is
-  the executable specification and is what the tests compare against.
-* :func:`cross_val_scores_vectorised` — an exact, closed-form reformulation:
-  for a majority vote over ``k`` neighbours, the predicted label of
-  subsequence ``i`` as a function of the split ``s`` is a step function that
-  flips from 1 to 0 once ``s`` exceeds the ⌈k/2⌉-th smallest neighbour
-  offset.  All confusion-matrix entries for all splits therefore reduce to
-  cumulative histograms and the whole profile is obtained with a handful of
-  numpy operations.  This is the default path used by ClaSS (pure-Python
-  loops cannot keep up with streaming rates without a JIT).
+  Algorithm 3 (reverse-NN index, per-split confusion-matrix deltas), the
+  executable specification;
+* :func:`cross_val_scores_vectorised` — the closed form above with eager
+  confusion counts, re-sorting the table on every call;
 * :func:`cross_val_scores_naive` — recomputes labels and predictions from
   scratch for every split, O(d^2); the approach of the original batch ClaSP
-  that the paper improves upon, kept for the ablation benchmarks.
-* :func:`cross_val_scores_fast` — the default hot path: the same closed form
-  as the vectorised variant, but consuming precomputed prediction thresholds
-  (either cached incrementally by the streaming k-NN or derived once from a
-  k-NN table) through the fused score kernel of
-  :func:`repro.core.scoring.fused_split_scores`, which skips the per-split
-  confusion-count arrays.  Scores are bit-identical to the other three; the
-  full :class:`CrossValidationResult` confusion counts remain available on
-  demand (computed lazily on first access).
+  that the paper improves upon.
+
+All four give bit-identical scores.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from repro.core.scoring import (
 )
 from repro.utils.exceptions import ConfigurationError
 
-#: Both implementations treat any neighbour offset below zero (slid out of the
+#: Every implementation treats any neighbour offset below zero (slid out of the
 #: window or before the last change point) as belonging to class 0 by design.
 
 
@@ -77,22 +81,15 @@ def prediction_thresholds(knn_indices: np.ndarray) -> np.ndarray:
     return sorted_nbrs[:, need - 1]
 
 
-def predictions_for_split(
-    knn_indices: np.ndarray | None,
-    split: int,
-    *,
-    thresholds: np.ndarray | None = None,
-    offset: int = 0,
-) -> np.ndarray:
+def predictions_for_split(thresholds: np.ndarray, split: int, offset: int = 0) -> np.ndarray:
     """Predicted labels of every subsequence for one split (0 left / 1 right).
 
-    When ``thresholds`` is given (e.g. the cached thresholds of a
-    :meth:`~repro.core.streaming_knn.StreamingKNN.region_view`, expressed in
-    coordinates shifted by ``offset``), the per-row sort over ``knn_indices``
-    is skipped entirely and the labels come from one vectorised comparison.
+    ``thresholds`` are the prediction thresholds of :func:`prediction_thresholds`
+    (e.g. the cached thresholds of a
+    :meth:`~repro.core.streaming_knn.StreamingKNN.region_view`), expressed in
+    coordinates shifted by ``offset``; the labels are one vectorised
+    comparison.
     """
-    if thresholds is None:
-        thresholds = prediction_thresholds(knn_indices)
     return (thresholds >= split + offset).astype(np.int64)
 
 
@@ -106,11 +103,12 @@ def breakpoints_from_thresholds(
 class CrossValidationResult:
     """Profile of classification scores plus the per-split confusion counts.
 
-    The three oracle implementations fill the confusion counts eagerly.  The
-    fast path stores only the per-subsequence prediction breakpoints and
-    materialises ``n00``/``n01``/``n10``/``n11`` lazily on first access, so
-    the hot scoring loop never allocates them while tests and
-    ``last_profile`` consumers still see the full result on demand.
+    The three reference implementations fill the confusion counts eagerly.
+    :func:`cross_val_scores_from_thresholds` stores only the per-subsequence
+    prediction breakpoints and materialises ``n00``/``n01``/``n10``/``n11``
+    lazily on first access, so the hot scoring loop never allocates them
+    while tests and ``last_profile`` consumers still see the full result on
+    demand.
     """
 
     def __init__(
@@ -188,7 +186,7 @@ def cross_val_scores_vectorised(
     exclusion: int,
     score: str = "macro_f1",
 ) -> CrossValidationResult:
-    """All-splits cross-validation scores in O(m * k) with numpy (default path).
+    """All-splits cross-validation scores in O(m * k) with numpy (reference).
 
     Parameters
     ----------
@@ -273,24 +271,6 @@ def cross_val_scores_from_thresholds(
     else:
         scores = kernels.fused_split_scores(pred_zero_from, splits, m, score)
     return CrossValidationResult(scores, splits, pred_zero_from=pred_zero_from)
-
-
-def cross_val_scores_fast(
-    knn_indices: np.ndarray,
-    exclusion: int,
-    score: str = "macro_f1",
-) -> CrossValidationResult:
-    """Drop-in fast implementation over a plain k-NN table (default path).
-
-    Sorts each row once to obtain the prediction thresholds and feeds them to
-    the fused score kernel.  Streaming callers that already maintain the
-    thresholds incrementally should call
-    :func:`cross_val_scores_from_thresholds` directly and skip the sort.
-    """
-    knn = _validate_knn(knn_indices)
-    return cross_val_scores_from_thresholds(
-        prediction_thresholds(knn), exclusion=exclusion, score=score
-    )
 
 
 def cross_val_scores_incremental(
@@ -391,9 +371,8 @@ def cross_val_scores_naive(
 ) -> CrossValidationResult:
     """O(m^2) recomputation of every split from scratch (batch-ClaSP style).
 
-    Kept as the slow oracle for tests and for the runtime ablation that
-    contrasts the paper's O(d) cross-validation with the original O(d^2)
-    approach.
+    A reference for the tests and for the runtime ablation that contrasts
+    the paper's O(d) cross-validation with the original O(d^2) approach.
     """
     knn = _validate_knn(knn_indices)
     m, k = knn.shape
@@ -424,14 +403,3 @@ def cross_val_scores_naive(
         n10s[position], n11s[position] = n10, n11
     return CrossValidationResult(out, splits, n00s, n01s, n10s, n11s)
 
-
-#: Implementations selectable through the ``cross_val_implementation`` option
-#: of :class:`repro.core.class_segmenter.ClaSS`.  ``"fast"`` (the default) is
-#: the fused-kernel path; the other three are kept as oracles and for the
-#: runtime ablations, and all four report bit-identical change points.
-CROSS_VAL_IMPLEMENTATIONS = {
-    "fast": cross_val_scores_fast,
-    "vectorised": cross_val_scores_vectorised,
-    "incremental": cross_val_scores_incremental,
-    "naive": cross_val_scores_naive,
-}

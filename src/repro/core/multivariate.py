@@ -17,11 +17,9 @@ This module provides a pragmatic ensemble realisation of that idea:
 The ensemble preserves the streaming contract of the univariate algorithm —
 one multivariate observation in, at most one fused change point out — and its
 per-point cost is the sum of the per-channel costs, i.e. still linear in the
-sliding window size.  Each per-channel segmenter defaults to the fast
-incremental scoring path (cached prediction thresholds consumed zero-copy by
-the fused score kernel); pass ``cross_val_implementation`` through
-``class_kwargs`` to pin a specific oracle implementation per channel.  Like
-the univariate ClaSS, ingestion is chunked:
+sliding window size.  Each per-channel segmenter scores from the prediction
+thresholds its k-NN caches, consumed zero-copy by the fused score kernel.
+Like the univariate ClaSS, ingestion is chunked:
 :meth:`MultivariateClaSS.process` fans each chunk out column-wise to the
 per-channel segmenters' batch paths and replays the fusion decisions in
 detection-time order, producing exactly the row-at-a-time results at batch

@@ -73,9 +73,7 @@ backend-portable.
 
 from __future__ import annotations
 
-import collections
 import itertools
-import warnings
 from typing import Generator, Iterator, NamedTuple
 
 import numpy as np
@@ -410,16 +408,6 @@ class StreamingKNN:
         if values.shape[0] and not np.all(np.isfinite(values)):
             raise ConfigurationError("stream values must be finite")
         return self._ingest_chunk(values)
-
-    def extend(self, values: np.ndarray) -> None:
-        """Deprecated alias for draining :meth:`update_many`."""
-        warnings.warn(
-            "StreamingKNN.extend is deprecated; use update_many (and drain the "
-            "iterator) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        collections.deque(self.update_many(values), maxlen=0)
 
     def reset(self) -> None:
         """Forget all state and start from an empty window."""

@@ -23,7 +23,6 @@ process-pool executor in :mod:`repro.evaluation.parallel`;
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
@@ -362,32 +361,6 @@ class CompetitorFactory:
 
     def __call__(self, dataset: TimeSeriesDataset):
         return create(self.competitor, **self.kwargs)
-
-
-def class_factory(
-    window_size: int = 10_000,
-    scoring_interval: int = 1,
-    use_annotated_width: bool = False,
-    **kwargs,
-) -> MethodFactory:
-    """Deprecated alias for constructing a :class:`ClaSSFactory`.
-
-    Build the factory dataclass directly (or go through
-    ``repro.api.create("class", config)`` for a fixed configuration); this
-    wrapper predates the typed-config registry and will be removed.
-    """
-    warnings.warn(
-        "class_factory is deprecated; construct ClaSSFactory(...) directly or use "
-        "repro.api.create('class', ClaSSConfig(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ClaSSFactory(
-        window_size=window_size,
-        scoring_interval=scoring_interval,
-        use_annotated_width=use_annotated_width,
-        class_kwargs=dict(kwargs),
-    )
 
 
 def default_method_factories(

@@ -144,8 +144,8 @@ def measure_scoring_latency(
     ``segmenter.score_now()`` — the pure per-pass scoring cost a
     ``scoring_interval=1`` deployment pays on every observation, isolated
     from the k-NN update.  Used by ``benchmarks/bench_scoring_path.py`` to
-    compare the ``cross_val_implementation`` scoring paths on identical
-    streaming state.
+    compare ClaSS's scoring pass with the reference cross-validations of
+    :mod:`repro.core.cross_val` on identical streaming state.
 
     The timed passes mutate the segmenter: a pass that reports a change
     point shrinks the scored region, so later passes would measure a smaller

@@ -504,8 +504,9 @@ class StreamStore:
         from_t = int(from_t)
         if from_t < 0:
             raise ConfigurationError("from_t must be non-negative")
-        old_key = run["detector"]
-        old_config = run["config"]
+        # both sides canonical: a run stored before a config field was added
+        # or retired still counts as the same configuration
+        old_key, old_config = canonical_config(run["detector"], run["config"])
         new_key, new_config = canonical_config(
             detector if detector is not None else old_key,
             config if config is not None else (old_config if detector is None else config),

@@ -6,19 +6,6 @@ import numpy as np
 import pytest
 
 
-def pytest_collection_modifyitems(config, items):
-    """Promote DeprecationWarning to an error for legacy-path tests.
-
-    Tests marked ``legacy_api`` exercise deprecated surfaces (the ``extend``
-    alias, ``class_factory``); the strict filter guarantees the deprecation
-    actually fires (via ``pytest.warns``) and that the legacy path emits
-    nothing beyond the documented warning.
-    """
-    for item in items:
-        if item.get_closest_marker("legacy_api"):
-            item.add_marker(pytest.mark.filterwarnings("error::DeprecationWarning"))
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for test data."""

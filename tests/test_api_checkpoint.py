@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.api.checkpoint import write_payload_file
 from repro.core.streaming_knn import StreamingKNN
 from repro.utils.exceptions import ConfigurationError
 
@@ -217,6 +218,23 @@ class TestCheckpointEnvelope:
         resumed.process(checkpoint_stream[1_000:])
         segmenter.process(checkpoint_stream[1_000:])
         np.testing.assert_array_equal(segmenter.change_points, resumed.change_points)
+
+    @pytest.mark.parametrize("old", ["fast", "naive"])
+    def test_checkpoint_naming_the_retired_scoring_switch_resumes(
+        self, tmp_path, checkpoint_stream, old
+    ):
+        config = api.ClaSSConfig(window_size=600, subsequence_width=20, scoring_interval=5)
+        uninterrupted = api.create("class", config)
+        uninterrupted.process(checkpoint_stream)
+        half = api.create("class", config)
+        half.process(checkpoint_stream[:1_000])
+        payload = half.save_state()
+        payload["config"]["cross_val_implementation"] = old  # written before its removal
+        path = write_payload_file(tmp_path / "old.ckpt", payload)
+        for resumed in (api.restore(payload), api.load_checkpoint(path)):
+            assert resumed.config == config
+            resumed.process(checkpoint_stream[1_000:])
+            assert resumed.reports == uninterrupted.reports
 
     def test_load_state_rejects_foreign_detector_payload(self, checkpoint_stream):
         ddm = api.create("ddm")

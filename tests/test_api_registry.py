@@ -42,9 +42,31 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="expects a ClaSSConfig"):
             api.create("class", api.FLOSSConfig())
 
-    def test_create_validates_before_construction(self):
+    @pytest.mark.parametrize(
+        "key, field, value",
+        [
+            ("class", "score_threshold", 1.5),
+            # wrongly typed values fail a cast or comparison in validate
+            ("class", "score_threshold", {}),
+            ("class", "significance_level", "x"),
+            ("class", "sample_size", "x"),
+            ("multivariate-class", "min_votes", "x"),
+            ("multivariate-class", "n_channels", "x"),
+            ("page-hinkley", "threshold", {}),
+            ("ddm", "drift_factor", "x"),
+        ],
+    )
+    def test_create_validates_before_construction(self, key, field, value):
         with pytest.raises(ConfigurationError):
-            api.create("class", score_threshold=1.5)
+            api.create(key, **{field: value})
+        with pytest.raises(ConfigurationError):
+            api.create(key, {field: value})
+
+    def test_create_rejects_unknown_override_without_a_config(self):
+        with pytest.raises(ConfigurationError, match="unknown ClaSSConfig fields"):
+            api.create("class", bogus=1)
+        with pytest.raises(ConfigurationError, match="unknown ClaSSConfig fields"):
+            api.create("class", {}, bogus=1)
 
     def test_register_custom_detector(self):
         spec = api.register(
@@ -84,6 +106,36 @@ class TestConfigs:
         with pytest.raises(ConfigurationError, match="unknown ClaSSConfig fields"):
             api.ClaSSConfig.from_dict({"window_size": 100, "typo_field": 1})
 
+    @pytest.mark.parametrize("key", ["class", "clasp"])
+    @pytest.mark.parametrize("old", ["fast", "vectorised", "incremental", "naive"])
+    def test_retired_scoring_switch_loads_from_stored_documents(self, key, old):
+        # the four retired implementations scored identically: any loads as today's config
+        config_cls = api.config_class(key)
+        stored = {**config_cls().to_dict(), "cross_val_implementation": old}
+        assert config_cls.from_dict(stored) == config_cls()
+        assert "cross_val_implementation" not in api.create(key, stored).config.to_dict()
+
+    @pytest.mark.parametrize("key", ["class", "clasp"])
+    @pytest.mark.parametrize("value", ["bogus", {}, None, 1])
+    def test_retired_scoring_switch_rejects_other_values(self, key, value):
+        with pytest.raises(ConfigurationError, match="retired"):
+            api.config_class(key).from_dict({"cross_val_implementation": value})
+        with pytest.raises(ConfigurationError):
+            api.create(key, {"cross_val_implementation": value})
+
+    def test_retired_scoring_switch_has_no_keyword_shim(self):
+        with pytest.raises(TypeError):
+            api.ClaSSConfig(cross_val_implementation="fast")
+        with pytest.raises(ConfigurationError, match="unknown ClaSSConfig fields"):
+            api.create("class", cross_val_implementation="fast")
+        with pytest.raises(ConfigurationError, match="unknown FLOSSConfig fields"):
+            api.FLOSSConfig.from_dict({"cross_val_implementation": "fast"})
+
+    def test_retired_field_in_nested_class_config(self):
+        stored = {"class_config": {"window_size": 900, "cross_val_implementation": "naive"}}
+        config = api.MultivariateClaSSConfig.from_dict(stored)
+        assert config.class_config == api.ClaSSConfig(window_size=900)
+
     def test_from_json_rejects_invalid_document(self):
         with pytest.raises(ConfigurationError, match="invalid ClaSSConfig JSON"):
             api.ClaSSConfig.from_json("{not json")
@@ -111,8 +163,6 @@ class TestConfigs:
         # without allocating any detector state
         with pytest.raises(ConfigurationError):
             api.ClaSSConfig(window_size=100, subsequence_width=40).validate()
-        with pytest.raises(ConfigurationError):
-            api.ClaSSConfig(cross_val_implementation="bogus").validate()
         with pytest.raises(ConfigurationError):
             api.ClaSSConfig(knn_mode="bogus").validate()
         with pytest.raises(ConfigurationError):

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import clasp_batch
 from repro.core.clasp_batch import ClaSP
+from repro.core.cross_val import (
+    cross_val_scores_from_thresholds,
+    cross_val_scores_incremental,
+    cross_val_scores_vectorised,
+    prediction_thresholds,
+)
 from repro.utils.exceptions import ConfigurationError, NotEnoughDataError
 
 
@@ -21,9 +28,9 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ClaSP(knn_backend="gpu")
 
-    def test_rejects_unknown_cross_val(self):
-        with pytest.raises(ConfigurationError):
-            ClaSP(cross_val_implementation="quantum")
+    def test_retired_cross_val_keyword_is_rejected(self):
+        with pytest.raises(TypeError):
+            ClaSP(cross_val_implementation="fast")
 
 
 class TestProfile:
@@ -71,6 +78,35 @@ class TestFitPredict:
         assert result.change_points.shape[0] >= 2
         assert any(abs(cp - 700) < 80 for cp in result.change_points)
         assert any(abs(cp - 1_400) < 80 for cp in result.change_points)
+
+    def test_every_level_matches_the_reference_cross_validations(self, rng, monkeypatch):
+        # the table is sorted into thresholds once, in profile(); every
+        # recursion level scores a shifted slice of them
+        t = np.arange(700)
+        values = np.concatenate(
+            [np.sin(2 * np.pi * t / 18), 2.0 * np.sign(np.sin(2 * np.pi * t / 60))]
+        ) + rng.normal(0, 0.05, 1_400)
+        levels = []
+
+        def recording(thresholds, exclusion, score="macro_f1", offset=0):
+            result = cross_val_scores_from_thresholds(thresholds, exclusion, score, offset)
+            levels.append((offset, thresholds.shape[0], result))
+            return result
+
+        monkeypatch.setattr(clasp_batch, "cross_val_scores_from_thresholds", recording)
+        result = ClaSP(subsequence_width=20).fit_predict(values)
+        knn = result.profile.metadata["knn_indices"]
+        np.testing.assert_array_equal(
+            result.profile.metadata["thresholds"], prediction_thresholds(knn)
+        )
+        assert result.change_points.size >= 1
+        assert len({(start, length) for start, length, _ in levels}) >= 3
+        for start, length, scored in levels:
+            local = knn[start : start + length] - start
+            for oracle in (cross_val_scores_vectorised, cross_val_scores_incremental):
+                reference = oracle(local, 20)
+                np.testing.assert_array_equal(scored.splits, reference.splits)
+                np.testing.assert_array_equal(scored.scores, reference.scores)
 
     def test_stationary_series_yields_no_change_points(self, rng):
         values = np.sin(2 * np.pi * np.arange(1_500) / 30) + rng.normal(0, 0.05, 1_500)

@@ -12,9 +12,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ClaSS(window_size=100, subsequence_width=40)
 
-    def test_rejects_bad_cross_val(self):
-        with pytest.raises(ConfigurationError):
-            ClaSS(cross_val_implementation="bogus")
+    def test_retired_cross_val_keyword_is_rejected(self):
+        # one scoring path: the keyword is gone, with no shim
+        with pytest.raises(TypeError):
+            ClaSS(cross_val_implementation="fast")
 
     def test_rejects_bad_score_threshold(self):
         with pytest.raises(ConfigurationError):
@@ -113,18 +114,6 @@ class TestBehaviour:
         coarse_cps = coarse.process(values)
         assert any(abs(cp - true_cp) < 150 for cp in fine_cps)
         assert any(abs(cp - true_cp) < 200 for cp in coarse_cps)
-
-    def test_incremental_cross_val_gives_same_change_points(self, sine_square_stream):
-        values, _ = sine_square_stream
-        vectorised = ClaSS(
-            window_size=1_200, subsequence_width=25, scoring_interval=50,
-            cross_val_implementation="vectorised",
-        )
-        incremental = ClaSS(
-            window_size=1_200, subsequence_width=25, scoring_interval=50,
-            cross_val_implementation="incremental",
-        )
-        np.testing.assert_array_equal(vectorised.process(values), incremental.process(values))
 
     def test_last_profile_exposed(self, sine_square_stream):
         values, _ = sine_square_stream

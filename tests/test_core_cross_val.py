@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cross_val import (
-    CROSS_VAL_IMPLEMENTATIONS,
+    cross_val_scores_from_thresholds,
     cross_val_scores_incremental,
     cross_val_scores_naive,
     cross_val_scores_vectorised,
@@ -55,7 +55,7 @@ class TestPredictionThresholds:
     def test_predictions_for_split_consistency(self, rng):
         knn = _random_knn(rng, m=50)
         for split in (10, 25, 40):
-            predictions = predictions_for_split(knn, split)
+            predictions = predictions_for_split(prediction_thresholds(knn), split)
             neighbour_labels = (knn >= split).astype(int)
             ones = neighbour_labels.sum(axis=1)
             zeros = knn.shape[1] - ones
@@ -68,8 +68,12 @@ class TestImplementationEquivalence:
     def test_all_three_agree(self, rng, k):
         knn = _random_knn(rng, m=120, k=k)
         results = {
-            name: implementation(knn, exclusion=10)
-            for name, implementation in CROSS_VAL_IMPLEMENTATIONS.items()
+            "from_thresholds": cross_val_scores_from_thresholds(
+                prediction_thresholds(knn), exclusion=10
+            ),
+            "vectorised": cross_val_scores_vectorised(knn, exclusion=10),
+            "incremental": cross_val_scores_incremental(knn, exclusion=10),
+            "naive": cross_val_scores_naive(knn, exclusion=10),
         }
         reference = results["naive"]
         for name, result in results.items():
@@ -129,7 +133,7 @@ class TestScoresAreMeaningful:
         for position in range(0, result.splits.shape[0], 11):
             split = int(result.splits[position])
             y_true = (offsets >= split).astype(int)
-            y_pred = predictions_for_split(knn, split)
+            y_pred = predictions_for_split(prediction_thresholds(knn), split)
             n00, n01, n10, n11 = confusion_from_labels(y_true, y_pred)
             expected = macro_f1_score(n00, n01, n10, n11)
             assert result.scores[position] == pytest.approx(float(expected), abs=1e-9)

@@ -274,17 +274,6 @@ class TestChunkedIngestion:
             reference.update(float(value))
             assert np.array_equal(knn.knn_indices, reference.knn_indices)
 
-    @pytest.mark.legacy_api
-    def test_extend_is_deprecated_but_equivalent(self, rng):
-        values = rng.normal(size=120)
-        legacy = StreamingKNN(window_size=60, subsequence_width=6)
-        with pytest.warns(DeprecationWarning):
-            legacy.extend(values)
-        current = StreamingKNN(window_size=60, subsequence_width=6)
-        ingest(current, values)
-        assert np.array_equal(legacy.knn_indices, current.knn_indices)
-        assert np.array_equal(legacy.knn_similarities, current.knn_similarities)
-
     def test_ring_buffer_window_matches_stream_tail(self, rng):
         # enough values to force several compactions of the backing array
         values = rng.normal(size=1_000)

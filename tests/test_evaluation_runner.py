@@ -12,7 +12,6 @@ from repro.evaluation.ablation import (
 )
 from repro.evaluation.runner import (
     ClaSSFactory,
-    class_factory,
     default_method_factories,
     run_experiment,
     run_method_on_dataset,
@@ -64,13 +63,6 @@ class TestRunner:
         )
         # the empty segmentation of this 3-segment stream scores ~0.33
         assert record.covering > 0.6
-
-    @pytest.mark.legacy_api
-    def test_class_factory_is_deprecated_but_equivalent(self, small_dataset):
-        with pytest.warns(DeprecationWarning, match="class_factory is deprecated"):
-            legacy = class_factory(window_size=1_000, scoring_interval=30)
-        assert legacy == ClaSSFactory(window_size=1_000, scoring_interval=30)
-        assert legacy.config_for(small_dataset).scoring_interval == 30
 
     def test_run_experiment_matrix_and_summaries(self, tiny_suite):
         methods = default_method_factories(

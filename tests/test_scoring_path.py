@@ -1,16 +1,17 @@
 """Tests for the incremental ClaSP scoring path.
 
-Four pillars, mirroring the contract of the fast path:
+Four pillars, mirroring the contract of the scoring path:
 
 * the threshold cache maintained inside :class:`StreamingKNN` always equals a
   fresh ``prediction_thresholds`` computation over the current k-NN table —
   through evictions, backing-array and table compactions, resets, change
   point region shifts and ``relearn_width`` rebuilds;
-* the fused score kernel is bit-identical to every oracle implementation on
-  randomized k-NN tables (including the lazily materialised confusion
+* the fused score kernel is bit-identical to every reference implementation
+  on randomized k-NN tables (including the lazily materialised confusion
   counts);
-* ClaSS reports bit-identical change points for every
-  ``cross_val_implementation`` across k-NN modes and scoring intervals;
+* every ClaSS scoring pass, across k-NN modes and scoring intervals, equals
+  the reference cross-validations evaluated on the scored region's k-NN
+  table, and so do the significance gate's labels;
 * every scoring pass pruned by the score-threshold bound is one whose full
   profile cannot reach the threshold, and its lazily built profile equals
   that full profile.
@@ -31,9 +32,7 @@ from hypothesis import strategies as st
 from repro.core import class_segmenter
 from repro.core.class_segmenter import PRUNE_MIN_SPLITS, ClaSS
 from repro.core.cross_val import (
-    CROSS_VAL_IMPLEMENTATIONS,
     breakpoints_from_thresholds,
-    cross_val_scores_fast,
     cross_val_scores_from_thresholds,
     cross_val_scores_incremental,
     cross_val_scores_naive,
@@ -46,6 +45,17 @@ from repro.core.kernels import available_backends
 from repro.core.scoring import fused_split_scores, split_score_bound
 from repro.core.streaming_knn import PADDING_INDEX, StreamingKNN
 from repro.utils.exceptions import ConfigurationError
+
+
+def scores_from_table(knn, exclusion, score="macro_f1"):
+    """The product scoring path over a plain k-NN table (thresholds sorted once)."""
+    return cross_val_scores_from_thresholds(prediction_thresholds(knn), exclusion, score)
+
+
+def majority_vote(knn, split):
+    """Each subsequence's k-NN label for ``split``, by definition (ties are 0)."""
+    ones = (knn >= split).sum(axis=1)
+    return np.where(knn.shape[1] - ones >= ones, 0, 1)
 
 
 def cached_thresholds_window(knn: StreamingKNN) -> np.ndarray:
@@ -137,24 +147,24 @@ class TestFusedKernelEquivalence:
             k = int(rng.integers(1, 6))
             exclusion = int(rng.integers(1, 10))
             knn = rng.integers(-8, m, size=(m, k))
-            fast = cross_val_scores_fast(knn, exclusion, score)
+            scored = scores_from_table(knn, exclusion, score)
             for oracle in (
                 cross_val_scores_vectorised,
                 cross_val_scores_incremental,
                 cross_val_scores_naive,
             ):
                 reference = oracle(knn, exclusion, score)
-                np.testing.assert_array_equal(fast.splits, reference.splits)
-                np.testing.assert_array_equal(fast.scores, reference.scores)
+                np.testing.assert_array_equal(scored.splits, reference.splits)
+                np.testing.assert_array_equal(scored.scores, reference.scores)
 
     def test_lazy_confusion_counts_match_vectorised(self, rng):
         knn = rng.integers(-5, 90, size=(90, 3))
-        fast = cross_val_scores_fast(knn, exclusion=6)
+        scored = scores_from_table(knn, exclusion=6)
         reference = cross_val_scores_vectorised(knn, exclusion=6)
-        np.testing.assert_array_equal(fast.n00, reference.n00)
-        np.testing.assert_array_equal(fast.n01, reference.n01)
-        np.testing.assert_array_equal(fast.n10, reference.n10)
-        np.testing.assert_array_equal(fast.n11, reference.n11)
+        np.testing.assert_array_equal(scored.n00, reference.n00)
+        np.testing.assert_array_equal(scored.n01, reference.n01)
+        np.testing.assert_array_equal(scored.n10, reference.n10)
+        np.testing.assert_array_equal(scored.n11, reference.n11)
 
     def test_offset_thresholds_equal_shifted_table(self, rng):
         # consuming global-coordinate thresholds with an offset must equal
@@ -168,14 +178,13 @@ class TestFusedKernelEquivalence:
         reference = cross_val_scores_vectorised(knn, exclusion=8)
         np.testing.assert_array_equal(shifted.scores, reference.scores)
 
-    def test_predictions_for_split_reuses_thresholds(self, rng):
+    def test_predictions_for_split_with_offset(self, rng):
         knn = rng.integers(-5, 80, size=(80, 3))
         thresholds = prediction_thresholds(knn)
         for split in (10, 40, 70):
-            expected = predictions_for_split(knn, split)
-            reused = predictions_for_split(None, split, thresholds=thresholds)
-            shifted = predictions_for_split(None, split, thresholds=thresholds + 11, offset=11)
-            np.testing.assert_array_equal(reused, expected)
+            expected = majority_vote(knn, split)
+            np.testing.assert_array_equal(predictions_for_split(thresholds, split), expected)
+            shifted = predictions_for_split(thresholds + 11, split, offset=11)
             np.testing.assert_array_equal(shifted, expected)
 
     def test_fused_kernel_rejects_unknown_score(self):
@@ -224,48 +233,72 @@ def two_regime_stream(rng, half=650):
     return values + rng.normal(0.0, 0.1, 2 * half)
 
 
+@contextlib.contextmanager
+def oracle_checked_passes(*oracles):
+    """Check every ClaSS scoring pass against the reference cross-validations.
+
+    After each pass, ``last_profile`` must equal every oracle evaluated on
+    the scored region's k-NN table, and the significance gate's labels at the
+    best split must equal the majority vote of that table.  Yields the list
+    of the checked passes' region sizes.
+    """
+    checked: list[int] = []
+    maybe_score = ClaSS._maybe_score
+
+    def checked_maybe_score(self, force=False):
+        before = self._last_profile
+        region_start = self._state.last_change_point_offset
+        change_point = maybe_score(self, force)
+        if self._last_profile is before:  # no pass: region too short
+            return change_point
+        profile = self.last_profile
+        region_knn = self._knn.knn_indices[region_start:] - region_start
+        exclusion = self.excl_factor * self._width
+        for oracle in oracles:
+            reference = oracle(region_knn, exclusion, self.score)
+            assert np.array_equal(profile.splits, reference.splits), oracle.__name__
+            assert np.array_equal(profile.scores, reference.scores), oracle.__name__
+        if profile.splits.size:
+            split, _ = profile.global_maximum()
+            region = self._knn.region_view(region_start)
+            labels = predictions_for_split(region.thresholds, split, region.offset)
+            assert np.array_equal(labels, majority_vote(region_knn, split))
+        checked.append(region_knn.shape[0])
+        return change_point
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ClaSS, "_maybe_score", checked_maybe_score)
+        yield checked
+
+
 class TestChangePointIdentity:
-    """Pinned: all implementations report bit-identical change points."""
+    """Pinned: every scoring pass equals the reference cross-validations."""
 
     @pytest.mark.parametrize("knn_mode", ["streaming", "recompute", "fft"])
     @pytest.mark.parametrize("scoring_interval", [1, 7])
-    def test_fast_matches_vectorised_and_incremental(self, rng, knn_mode, scoring_interval):
+    def test_every_pass_matches_vectorised_and_incremental(self, rng, knn_mode, scoring_interval):
         values = two_regime_stream(rng)
-        outcomes = {}
-        for implementation in ("fast", "vectorised", "incremental"):
-            segmenter = ClaSS(
-                window_size=650,
-                subsequence_width=20,
-                scoring_interval=scoring_interval,
-                cross_val_implementation=implementation,
-                knn_mode=knn_mode,
-            )
+        segmenter = ClaSS(
+            window_size=650,
+            subsequence_width=20,
+            scoring_interval=scoring_interval,
+            knn_mode=knn_mode,
+        )
+        with oracle_checked_passes(
+            cross_val_scores_vectorised, cross_val_scores_incremental
+        ) as checked:
             segmenter.process(values)
-            outcomes[implementation] = (
-                segmenter.change_points.tolist(),
-                [(r.detected_at, r.score, r.p_value) for r in segmenter.reports],
-            )
-        assert outcomes["fast"] == outcomes["vectorised"] == outcomes["incremental"]
-        assert len(outcomes["fast"][0]) >= 1  # the grid must actually detect
+        assert len(segmenter.change_points) >= 1  # the grid must actually detect
+        # passes over the whole window and over the region after the change point
+        assert max(checked) == segmenter._knn.n_subsequences > min(checked)
 
-    def test_fast_matches_naive(self, rng):
+    def test_every_pass_matches_naive(self, rng):
         values = two_regime_stream(rng, half=500)
-        outcomes = {}
-        for implementation in ("fast", "naive"):
-            segmenter = ClaSS(
-                window_size=500,
-                subsequence_width=18,
-                scoring_interval=25,
-                cross_val_implementation=implementation,
-            )
+        segmenter = ClaSS(window_size=500, subsequence_width=18, scoring_interval=25)
+        with oracle_checked_passes(cross_val_scores_naive) as checked:
             segmenter.process(values)
-            outcomes[implementation] = segmenter.change_points.tolist()
-        assert outcomes["fast"] == outcomes["naive"]
-        assert len(outcomes["fast"]) >= 1
-
-    def test_fast_is_default_and_registered(self):
-        assert ClaSS().cross_val_implementation == "fast"
-        assert "fast" in CROSS_VAL_IMPLEMENTATIONS
+        assert len(segmenter.change_points) >= 1
+        assert checked
 
     def test_warmup_bulk_slice_matches_pointwise(self, rng):
         # the vectorised warm-up buffering must be behaviour-identical to the

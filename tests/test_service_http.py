@@ -161,7 +161,37 @@ class TestMalformedInput:
             )
             assert status == 400
             assert body["error"]["code"] == "bad-config"
+
+            # wrongly typed values, and values the retired scoring switch never had
+            for detector, config in [
+                ("class", {"score_threshold": {}}),
+                ("class", {"significance_level": "x"}),
+                ("class", {"sample_size": "x"}),
+                ("class", {"cross_val_implementation": "bogus"}),
+                ("class", {"cross_val_implementation": {}}),
+                ("multivariate-class", {"min_votes": "x"}),
+                ("page-hinkley", {"threshold": {}}),
+            ]:
+                status, body = await client.request(
+                    "POST", "/streams/bad", {"detector": detector, "config": config}
+                )
+                assert status == 400, (detector, config, body)
+                assert body["error"]["code"] == "bad-config"
             await _assert_alive(client)
+
+        _run(_with_service(scenario))
+
+    def test_spec_with_retired_scoring_switch_is_accepted(self):
+        # specs written while the switch existed still create their stream
+        async def scenario(client, service):
+            config = {**CONFIG, "cross_val_implementation": "naive"}
+            status, body = await client.request("POST", "/streams/old", {"config": config})
+            assert status == 201
+            status, body = await client.request(
+                "POST", "/streams/old/observations", {"values": [0.1] * 50}
+            )
+            assert status == 200
+            assert body["n_seen"] == 50
 
         _run(_with_service(scenario))
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.api.checkpoint import read_payload_file, write_payload_file
 from repro.cli import main
 from repro.storage import StreamStore, diff_change_points, replay_events
 from repro.storage.checkpoints import snapshot_row
@@ -123,6 +124,46 @@ class TestResegmentBitIdentity:
         # cadence 700 with 200-chunks snapshots at 0, 800, 1600, ...
         assert audit.checkpoint_used == 800
         assert audit.new_change_points == ref_points
+
+    @pytest.mark.parametrize(
+        "older",
+        [
+            lambda config: config.update(cross_val_implementation="fast"),  # a retired field
+            lambda config: config.pop("relearn_width"),  # before a defaulted field existed
+        ],
+        ids=["retired-field", "missing-defaulted-field"],
+    )
+    def test_run_stored_by_an_older_version_still_replays_from_a_checkpoint(
+        self, store, rng, older
+    ):
+        """Both sides are compared canonically, so an older document is no config change."""
+        values = np.concatenate(
+            [
+                np.sin(2 * np.pi * np.arange(1_200) / 20),
+                np.sign(np.sin(2 * np.pi * np.arange(1_200) / 60)),
+            ]
+        ) + rng.normal(0, 0.05, 2_400)
+        store.ingest("cls", values)
+        run = store.segment("cls", "class", CLASS_CONFIG, chunk_size=200, checkpoint_every=700)
+        # rewrite the run and its snapshots as an older version wrote them
+        path = store.path_for("cls") / "run.json"
+        stored = json.loads(path.read_text())
+        older(stored["config"])
+        path.write_text(json.dumps(stored))
+        index = store.checkpoint_index("cls")
+        for position in index.positions():
+            snapshot = index._path_for(position)
+            envelope = read_payload_file(snapshot)
+            older(envelope["config"])
+            older(envelope["state"]["config"])
+            write_payload_file(snapshot, envelope)
+
+        audit = store.resegment("cls", from_t=1_500)
+        assert audit.same_config
+        assert audit.checkpoint_used == audit.replayed_from == 800
+        assert audit.identical, audit.summary()
+        assert audit.new_change_points == run.change_points
+        assert audit.old_config == audit.new_config == run.config
 
     @pytest.mark.parametrize(
         "policy", [{"nan_policy": "skip"}, {"nan_policy": "hold-last", "max_gap": 10}]
