@@ -9,6 +9,15 @@ headline claim: chunk sizes >= 256 must beat the per-point loop by a wide
 margin.  Run with ``--benchmark-json`` to emit the machine-readable result
 like the other bench scripts (the per-chunk-size rates travel in
 ``extra_info``).
+
+A second row times the saturated k-NN step at the paper's window (d=10k)
+three ways: one ``next()`` per observation, and ``send(10)``/``send(32)``
+between pauses.  Blocks of whole-block numpy operations would cost 1.5-2.7x
+a point-wise step at this window, where the array work dominates, so a
+window wider than ``BLOCK_MAX_SUBSEQUENCES`` steps point by point under
+``send`` too.  At full size each ``send`` row must be no slower per step
+than stepping point by point, within the 25% by which the fastest of three
+interleaved rounds still spreads on a shared 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -113,3 +122,72 @@ def test_chunked_ingestion_throughput(benchmark):
     benchmark.extra_info["knn_speedup_1024"] = round(
         knn_rates["1024"] / knn_rates["pointwise"], 2
     )
+
+
+#: The paper's default window, and the width its block-path row uses.
+PAPER_WINDOW = 10_000
+PAPER_ROW_WIDTH = 25
+#: Steps timed per advance and round; the smoke run times a few only.
+BLOCK_ROW_STEPS = 160 if SMOKE_RUN else 1_600
+BLOCK_ROW_ADVANCES = (1, 10, 32)
+#: Timing noise allowed between the block and point-wise rows.
+BLOCK_ROW_TOLERANCE = 1.25
+
+
+def _step_us(state: dict, values: np.ndarray, advance: int) -> float:
+    """Microseconds per saturated k-NN step when advancing ``advance`` per call."""
+    knn = StreamingKNN(
+        window_size=PAPER_WINDOW, subsequence_width=PAPER_ROW_WIDTH, kernel_backend="numpy"
+    )
+    knn.load_state_dict(state)
+    steps = knn.update_many(values)
+    next(steps)
+    calls = BLOCK_ROW_STEPS // advance
+    start = time.perf_counter()
+    for _ in range(calls):
+        if advance == 1:
+            next(steps)
+        else:
+            steps.send(advance)
+    elapsed = time.perf_counter() - start
+    steps.close()
+    return elapsed / (calls * advance) * 1e6
+
+
+def test_block_path_no_slower_than_pointwise_at_paper_window(benchmark):
+    rng = np.random.default_rng(37)
+    n = PAPER_WINDOW + BLOCK_ROW_STEPS + 1
+    values = np.cumsum(rng.normal(size=n)) * 0.1 + np.sin(np.arange(n) / 7.0)
+    warm = StreamingKNN(
+        window_size=PAPER_WINDOW, subsequence_width=PAPER_ROW_WIDTH, kernel_backend="numpy"
+    )
+    collections.deque(warm.update_many(values[:PAPER_WINDOW]), maxlen=0)
+    state = warm.state_dict()
+
+    def rounds():
+        # interleaved rounds; each advance keeps its fastest (least disturbed)
+        timings = {advance: [] for advance in BLOCK_ROW_ADVANCES}
+        for _ in range(3):
+            for advance in BLOCK_ROW_ADVANCES:
+                timings[advance].append(_step_us(state, values[PAPER_WINDOW:], advance))
+        return {advance: min(times) for advance, times in timings.items()}
+
+    per_step = benchmark.pedantic(rounds, rounds=1, iterations=1)
+    rows = [
+        {"advance": "next()" if advance == 1 else f"send({advance})", "us per step": us}
+        for advance, us in per_step.items()
+    ]
+    print()
+    print(
+        format_table(
+            rows,
+            title=f"Saturated k-NN step (d={PAPER_WINDOW}, w={PAPER_ROW_WIDTH}, numpy)",
+            float_format="{:.1f}",
+        )
+    )
+    benchmark.extra_info["us_per_step"] = {
+        str(advance): round(us, 1) for advance, us in per_step.items()
+    }
+    if not SMOKE_RUN:
+        assert per_step[10] <= BLOCK_ROW_TOLERANCE * per_step[1]
+        assert per_step[32] <= BLOCK_ROW_TOLERANCE * per_step[1]

@@ -18,10 +18,14 @@ and point-wise ingestion report identical change points.
 
 A scoring pass does only the work its threshold requires: before scoring a
 region of at least :data:`PRUNE_MIN_SPLITS` splits, a cheap upper bound on
-its best score (:func:`repro.core.scoring.split_score_bound`) is checked
-against ``score_threshold``.  A pass that provably cannot reach it reports
-nothing, exactly as its full profile would, and that profile is computed
-only if :attr:`ClaSS.last_profile` or :attr:`ClaSS.current_score` is read.
+its best score is checked against ``score_threshold``.  The bound
+(:func:`repro.core.scoring.split_score_bound`) reads counts at the edges of
+blocks of 16 splits off two histograms of the region's breakpoints, which
+ClaSS keeps from pass to pass (:class:`repro.core.scoring.BreakpointHistograms`)
+and updates only for the rows whose prediction threshold changed.  A pass
+that provably cannot reach the threshold reports nothing, exactly as its
+full profile would, and that profile is computed only if
+:attr:`ClaSS.last_profile` or :attr:`ClaSS.current_score` is read.
 
 Typical use::
 
@@ -57,13 +61,13 @@ from repro.core.cross_val import (
 )
 from repro.core.kernels import get_backend
 from repro.core.profile import ClaSPProfile
-from repro.core.scoring import split_score_bound
+from repro.core.scoring import BreakpointHistograms, split_score_bound
 from repro.core.significance import (
     DEFAULT_SAMPLE_SIZE,
     DEFAULT_SIGNIFICANCE_LEVEL,
     ChangePointSignificanceTest,
 )
-from repro.core.streaming_knn import StreamingKNN
+from repro.core.streaming_knn import StreamingKNN, require_finite
 from repro.core.window_size import learn_subsequence_width
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.validation import check_positive_int
@@ -85,10 +89,11 @@ PRUNE_MIN_SPLITS = 1_024
 PRUNE_MARGIN = 1e-9
 
 
-def _score_pruned_pass(kernels, score, pred_zero_from, exclusion, **placement) -> ClaSPProfile:
-    """The full profile of a pruned pass, from the breakpoints its bound used."""
-    n_subsequences = pred_zero_from.shape[0]
+def _score_pruned_pass(kernels, score, thresholds, offset, exclusion, **placement) -> ClaSPProfile:
+    """The full profile of a pruned pass, from the thresholds its bound counted."""
+    n_subsequences = thresholds.shape[0]
     splits = valid_splits(n_subsequences, exclusion)
+    pred_zero_from = breakpoints_from_thresholds(thresholds, n_subsequences, offset)
     scores = kernels.fused_split_scores(pred_zero_from, splits, n_subsequences, score)
     return ClaSPProfile(scores=scores, splits=splits, **placement)
 
@@ -266,6 +271,8 @@ class ClaSS:
         # a ClaSPProfile, or for a pruned pass a partial that computes it
         self._last_profile: ClaSPProfile | functools.partial | None = None
         self._warmup_end: int | None = None
+        # the pruning bound's histograms: derived from the k-NN, never saved
+        self._histograms = BreakpointHistograms()
 
     # ------------------------------------------------------------------ #
     # properties
@@ -346,8 +353,15 @@ class ClaSS:
             call (not the full history; see :attr:`change_points`).  The
             competitor wrappers' ``process`` keeps their seed contract and
             returns the cumulative history instead.
+
+        Raises
+        ------
+        ConfigurationError
+            If a value is NaN or infinite; the whole call is checked before
+            any state changes, the warm-up buffer included.
         """
         values = np.asarray(values, dtype=np.float64).ravel()
+        require_finite(values)
         if chunk_size is None:
             chunk_size = DEFAULT_CHUNK_SIZE
         else:
@@ -423,6 +437,7 @@ class ClaSS:
         self._width = self.subsequence_width
         self._state.last_change_point_offset = 0
         self._last_profile = None
+        self._histograms.reset()
 
     @property
     def warmup_end(self) -> int | None:
@@ -510,14 +525,7 @@ class ClaSS:
         )
         self.significance.set_rng_state(state["rng_state"])
         if state["knn"] is not None:
-            self._knn = StreamingKNN(
-                window_size=self.window_size,
-                subsequence_width=int(self._width),
-                k_neighbours=self.k_neighbours,
-                similarity=self.similarity,
-                mode=self.knn_mode,
-                kernel_backend=self.kernel_backend,
-            )
+            self._knn = self._new_knn(int(self._width))
             self._knn.load_state_dict(state["knn"])
 
     # ------------------------------------------------------------------ #
@@ -537,14 +545,7 @@ class ClaSS:
             raise ConfigurationError(
                 f"window_size={self.window_size} too small for subsequence width {width}"
             )
-        self._knn = StreamingKNN(
-            window_size=self.window_size,
-            subsequence_width=width,
-            k_neighbours=self.k_neighbours,
-            similarity=self.similarity,
-            mode=self.knn_mode,
-            kernel_backend=self.kernel_backend,
-        )
+        self._knn = self._new_knn(width)
         # at most window_size values: the fresh k-NN evicts none of them
         collections.deque(self._knn.update_many(prefix), maxlen=0)  # C-speed drain
         self._prefix = []
@@ -671,20 +672,28 @@ class ClaSS:
         """Whether the pass provably misses ``score_threshold``; if so, defer its profile.
 
         Only regions of at least :data:`PRUNE_MIN_SPLITS` splits are bounded.
-        A pruned pass leaves in ``_last_profile`` a partial that scores it
-        from the same breakpoints on the first read of :attr:`last_profile`.
+        The histograms are brought up to the region first, which also keeps
+        a copy of its thresholds: a pruned pass leaves in ``_last_profile`` a
+        partial that scores it from that copy on the first read of
+        :attr:`last_profile`.
         """
         m = region.thresholds.shape[0]
         low = max(1, exclusion)  # the first and last split of valid_splits
         high = m - low
         if high - low + 1 < PRUNE_MIN_SPLITS:
             return False
-        pred_zero_from = breakpoints_from_thresholds(region.thresholds, m, region.offset)
-        bound = split_score_bound(pred_zero_from, low, high, m, self.score)
+        thresholds = self._histograms.update(region.thresholds, region.offset)
+        bound = split_score_bound(*self._histograms.block_edges(low, high), m, self.score)
         if bound >= self.score_threshold - PRUNE_MARGIN:
             return False
         self._last_profile = functools.partial(
-            _score_pruned_pass, self._kernels, self.score, pred_zero_from, exclusion, **placement
+            _score_pruned_pass,
+            self._kernels,
+            self.score,
+            thresholds,
+            region.offset,
+            exclusion,
+            **placement,
         )
         return True
 
@@ -704,12 +713,17 @@ class ClaSS:
         if new_width == self._width:
             return
         self._width = int(new_width)
-        self._knn = StreamingKNN(
+        self._knn = self._new_knn(self._width)
+        collections.deque(self._knn.update_many(window), maxlen=0)
+
+    def _new_knn(self, width: int) -> StreamingKNN:
+        """An empty k-NN of ``width``; its subsequence ids restart, so the histograms do."""
+        self._histograms.reset()
+        return StreamingKNN(
             window_size=self.window_size,
-            subsequence_width=self._width,
+            subsequence_width=width,
             k_neighbours=self.k_neighbours,
             similarity=self.similarity,
             mode=self.knn_mode,
             kernel_backend=self.kernel_backend,
         )
-        collections.deque(self._knn.update_many(window), maxlen=0)

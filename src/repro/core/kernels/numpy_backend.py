@@ -21,27 +21,44 @@ import numpy as np
 
 
 def extend_shrink(partial, extend_values, newest, shrink_values, oldest, q_out):
-    """Eqn. 3 extension and Eqn. 5 shrink of the partial dot products."""
-    full = partial + extend_values * newest
-    q_out[: full.shape[0]] = full - shrink_values * oldest
+    """Eqn. 3 extension and Eqn. 5 shrink of the partial dot products.
+
+    ``full = partial + extend_values * newest`` and ``q_out[:m] = full -
+    shrink_values * oldest``, computed in place: the extend product goes
+    into a fresh ``full`` (``partial`` may alias ``q_out``, so it is read
+    whole before ``q_out`` is written) and the shrink product straight into
+    ``q_out``.
+    """
+    full = np.multiply(extend_values, newest)
+    full += partial
+    shrunk = q_out[: full.shape[0]]
+    np.multiply(shrink_values, oldest, out=shrunk)
+    np.subtract(full, shrunk, out=shrunk)
     return full
 
 
 def topk_newest(similarities, low, take, first_global, idx_out, sim_out):
     """Top-``take`` of ``similarities[:low]`` by value desc, index asc on ties.
 
-    One ``argmax`` pass per slot over a copy of the candidates, each taken
-    candidate then masked with ``-inf``: ``argmax`` returns the first
-    occurrence of the maximum, so equal values come out earliest index
-    first.  Writes ``idx_out[:take]`` (global ids) and ``sim_out[:take]``;
-    the caller pre-pads the rest of the row.
+    One ``argmax`` pass per slot over the candidates, each taken candidate
+    then masked with ``-inf``: ``argmax`` returns the first occurrence of
+    the maximum, so equal values come out earliest index first.  The masked
+    entries are put back afterwards (latest slot first, so a candidate
+    taken twice gets its first value), leaving ``similarities`` unchanged
+    on return.  Writes ``idx_out[:take]`` (global ids) and
+    ``sim_out[:take]``; the caller pre-pads the rest of the row.
     """
-    candidates = similarities[:low].copy()
+    candidates = similarities[:low]
+    taken = []
     for slot in range(take):
         best = int(candidates.argmax())
+        value = candidates[best]
+        taken.append((best, value))
         idx_out[slot] = best + first_global
-        sim_out[slot] = candidates[best]
+        sim_out[slot] = value
         candidates[best] = -np.inf
+    for best, value in reversed(taken):
+        candidates[best] = value
 
 
 def rank_smallest(values, rank):

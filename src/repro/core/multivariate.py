@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.core.class_segmenter import DEFAULT_CHUNK_SIZE, ClaSS
+from repro.core.streaming_knn import require_finite
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -244,7 +245,9 @@ class MultivariateClaSS:
             raise ConfigurationError(
                 f"expected {self.n_channels} channel values, got {values.shape[0]}"
             )
-        fused = self._process_chunk(values.reshape(1, -1), chunk_size=1)
+        values = values.reshape(1, -1)
+        self._require_finite(values)
+        fused = self._process_chunk(values, chunk_size=1)
         return fused[-1] if fused else None
 
     def process(
@@ -284,6 +287,7 @@ class MultivariateClaSS:
             raise ConfigurationError("chunk_size must be a positive integer")
         if n_workers is not None and n_workers < 1:
             raise ConfigurationError("n_workers must be a positive integer")
+        self._require_finite(values)
         if n_workers is not None and n_workers > 1 and self.n_channels > 1:
             self._process_parallel(values, chunk_size, n_workers)
             return self.change_points
@@ -292,6 +296,10 @@ class MultivariateClaSS:
         return self.change_points
 
     # ------------------------------------------------------------------ #
+
+    def _require_finite(self, values: np.ndarray) -> None:
+        """Check every channel that ingests ``values`` before any of them does."""
+        require_finite(values[:, [weight > 0 for weight in self.channel_weights]])
 
     def _process_chunk(self, chunk: np.ndarray, chunk_size: int) -> list[int]:
         """Fan one chunk out to the channels and replay fusion in time order."""

@@ -87,14 +87,30 @@ def pearson_from_query_stats(
     here.  With ``(B, m)`` dot products, means and stds and ``(B, 1)`` query
     columns it correlates ``B`` queries in one call, each row bit-identical
     to its own 1-d call.
+
+    The arithmetic runs in place in two fresh buffers, with the operands of
+    ``numerator = dot_products - (w * means) * query_mean`` and
+    ``denominator = (w * stds) * query_std`` in that order.  The clip to
+    ``[-1, 1]`` is a ``maximum`` then a ``minimum``, which equals
+    ``np.clip`` element for element.  The zero-denominator rule costs a
+    pass only when some denominator is not positive (never inside the
+    k-NN, whose stds are floored).
     """
     w = float(window_size)
-    numerator = dot_products - w * means * query_mean
-    denominator = w * stds * query_std
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = numerator / denominator
-    corr = np.where(denominator > 0.0, corr, 0.0)
-    return np.clip(corr, -1.0, 1.0)
+    corr = np.multiply(means, w)
+    corr *= query_mean
+    np.subtract(dot_products, corr, out=corr)
+    denominator = np.multiply(stds, w)
+    denominator *= query_std
+    if denominator.size and denominator.min() > 0.0:
+        np.divide(corr, denominator, out=corr)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(corr, denominator, out=corr)
+        corr[np.logical_not(denominator > 0.0)] = 0.0
+    np.maximum(corr, -1.0, out=corr)
+    np.minimum(corr, 1.0, out=corr)
+    return corr
 
 
 def squared_distance_from_correlation(

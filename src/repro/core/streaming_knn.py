@@ -28,8 +28,10 @@ step's dot products (bit-identical, since the accumulation adds row by row),
 the similarity and the newest rows' top-k run over ``(B, m)`` matrices, and
 the older rows merge a block's candidates by one stable sort, replaying the
 rows with exact ties through the backend's sorted insert.  Single steps, the
-warm-up growth, the ``"recompute"``/``"fft"`` modes and the loop-form
-backends (numba has no per-call overhead to amortise) step point by point.
+warm-up growth, windows of more than :data:`BLOCK_MAX_SUBSEQUENCES`
+subsequences (where the array work outweighs the per-call overhead blocks
+save), the ``"recompute"``/``"fft"`` modes and the loop-form backends (numba
+has no per-call overhead to amortise) step point by point.
 
 Two buffer-layout choices keep the amortized per-point cost free of hidden
 O(d) terms:
@@ -106,6 +108,24 @@ FFT_BATCH_ROWS = 128
 #: its temporaries to ``O(BLOCK_ROWS * window_size)`` however far a caller
 #: advances between two yields.
 BLOCK_ROWS = 32
+
+#: Most subsequences a window may hold for the block path; wider windows
+#: step point by point.  Per step on a 2-vCPU Xeon VM (w=25), ``send(10)``
+#: and ``send(32)`` cost 0.37x/0.24x a point-wise step at m=96, 0.68x/0.56x
+#: at m=1,000, 0.75x/0.95x at m=1,250 and 1.09x/1.53x at m=3,000: the
+#: ``(B, m)`` temporaries outgrow the cache and numpy accumulates along the
+#: first axis of a C-ordered matrix with a strided loop.
+BLOCK_MAX_SUBSEQUENCES = 1_000
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Reject a run of stream values holding NaN or infinity (``ConfigurationError``).
+
+    The one gate for stream values: the k-NN and the segmenters built on it
+    call it on a whole input before any of their state changes.
+    """
+    if values.size and not np.isfinite(values).all():
+        raise ConfigurationError("stream values must be finite")
 
 
 def exclusion_radius(window_size: int) -> int:
@@ -392,8 +412,9 @@ class StreamingKNN:
         recomputation) hoisted out of the loop.
 
         Nobody reads the states inside one ``send(n)``, so once the window is
-        saturated a ``"streaming"`` k-NN on the numpy backend advances them
-        as blocks of up to :data:`BLOCK_ROWS` steps, each a fixed number of
+        saturated a ``"streaming"`` k-NN on the numpy backend with at most
+        :data:`BLOCK_MAX_SUBSEQUENCES` subsequences advances them as blocks
+        of up to :data:`BLOCK_ROWS` steps, each a fixed number of
         whole-block numpy operations.  The block path is bit-identical to
         stepping point by point: ``send`` changes only the speed.
 
@@ -405,12 +426,22 @@ class StreamingKNN:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ConfigurationError("update_many expects a 1-d array of values")
-        if values.shape[0] and not np.all(np.isfinite(values)):
-            raise ConfigurationError("stream values must be finite")
+        require_finite(values)
         return self._ingest_chunk(values)
 
     def reset(self) -> None:
-        """Forget all state and start from an empty window."""
+        """Forget all state and start from an empty window.
+
+        The backing arrays are zero-filled as at construction, so a reset
+        k-NN fed the same values as a fresh one has an equal
+        :meth:`state_dict`.
+        """
+        self._buffer.fill(0.0)
+        self._means.fill(0.0)
+        self._stds.fill(0.0)
+        if self._comps is not None:
+            self._comps.fill(0.0)
+        self._q_store.fill(0.0)
         self._start = 0
         self._length = 0
         self._evictions = 0
@@ -567,9 +598,10 @@ class StreamingKNN:
 
         ``next()`` advances one observation and ``send(n)`` advances ``n``
         before the next yield.  An advance of two or more saturated
-        ``"streaming"`` steps on the numpy backend runs as whole-block numpy
-        operations (:meth:`_advance_blocks`); everything else steps point by
-        point.
+        ``"streaming"`` steps on the numpy backend, in a window of at most
+        :data:`BLOCK_MAX_SUBSEQUENCES` subsequences, runs as whole-block
+        numpy operations (:meth:`_advance_blocks`); everything else steps
+        point by point.
         """
         w = self.subsequence_width
         dot_update = {
@@ -578,7 +610,11 @@ class StreamingKNN:
             "fft": self._fft_dot_products,
         }[self.mode]
         batch_fft = self.mode == "fft"
-        blocks = self.mode == "streaming" and self._kernels.name == "numpy"
+        blocks = (
+            self.mode == "streaming"
+            and self._kernels.name == "numpy"
+            and self._max_subsequences <= BLOCK_MAX_SUBSEQUENCES
+        )
         n = values.shape[0]
         position = 0
         pending = 1  # observations to advance before the next yield
@@ -704,7 +740,8 @@ class StreamingKNN:
         * **similarity** — the measure's own expressions over ``(B, m)`` row
           views of the statistics, the query's as a column;
         * **newest rows** — top-k of each admissible prefix by ``argmax``
-          passes (first occurrence: the tie rule of ``topk_newest``);
+          passes (first occurrence: the tie rule of ``topk_newest``), the
+          taken entries masked in place and put back afterwards;
         * **older rows** — see :meth:`_insert_block`.
 
         The caller guarantees a saturated window and no table compaction
@@ -750,12 +787,14 @@ class StreamingKNN:
         if low > 0:
             step = np.arange(steps)
             take = min(k, low)
-            candidates = sims[:, :low].copy()
+            candidates = sims[:, :low]  # taken entries are masked, then put back
             for slot in range(take):
                 best = candidates.argmax(axis=1)
                 new_idx[:, slot] = best
                 new_sim[:, slot] = candidates[step, best]
                 candidates[step, best] = -np.inf
+            for slot in reversed(range(take)):
+                candidates[step, new_idx[:, slot]] = new_sim[:, slot]
             new_idx[:, :take] += step[:, None] + (first_global + 1)
         self._worst_sim[new_rows] = new_sim[:, k - 1]
         self._thresholds[new_rows] = _rank_smallest_rows(new_idx, self._threshold_rank)

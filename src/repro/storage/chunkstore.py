@@ -87,9 +87,12 @@ def release_memmap(array) -> None:
     """Unmap a ``np.memmap``'s pages as soon as the reader is done with it.
 
     Dropping resident file pages promptly is what keeps a whole-stream scan
-    at one-segment RSS.  When the caller still holds a view into the map the
-    close raises ``BufferError``; the map then simply lives until the view
-    is garbage-collected — correctness is never affected.
+    at one-segment RSS.  numpy does not hold the map's buffer export while
+    an array views it, so the close succeeds even when views are still
+    alive: such a view then points at unmapped memory, and reading it can
+    crash the process (a known defect, listed in ``ROADMAP.md``).  Callers
+    must drop or copy every view of the map first.  ``BufferError`` and
+    ``ValueError`` from ``close`` are ignored.
     """
     mapping = getattr(array, "_mmap", None)
     if mapping is None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.class_segmenter import ChangePointReport, ClaSS
+from repro.core.multivariate import MultivariateClaSS
 from repro.utils.exceptions import ConfigurationError, ValidationError
 
 
@@ -177,3 +178,49 @@ class TestBehaviour:
         # the run is validated whole: none of its values reached the k-NN
         assert segmenter.n_seen == segmenter._knn.n_seen == 1_200
         np.testing.assert_array_equal(segmenter._knn.window, window)
+
+    def test_non_finite_value_in_the_warmup_raises_before_it_is_buffered(self, stationary_noise):
+        # a learned width: the warm-up buffer must not take the NaN in
+        segmenter = ClaSS(window_size=1_000)
+        segmenter.process(stationary_noise[:400])
+        dirty = stationary_noise[400:1_400].copy()
+        dirty[100] = np.nan
+        with pytest.raises(ConfigurationError, match="finite"):
+            segmenter.process(dirty)
+        assert segmenter.n_seen == len(segmenter._prefix) == 400
+        assert segmenter._knn is None
+        # a clean retry finishes the warm-up as if the bad call never happened
+        segmenter.process(stationary_noise[400:1_400])
+        reference = ClaSS(window_size=1_000)
+        reference.process(stationary_noise[:1_400])
+        assert segmenter.n_seen == segmenter._knn.n_seen == reference.n_seen
+        assert segmenter.subsequence_width_ == reference.subsequence_width_
+        assert segmenter.warmup_end == reference.warmup_end == 1_000
+
+    def test_non_finite_first_value_leaves_a_configured_width_segmenter_fresh(
+        self, stationary_noise
+    ):
+        segmenter = ClaSS(window_size=1_000, subsequence_width=20)
+        with pytest.raises(ConfigurationError, match="finite"):
+            segmenter.update(float("nan"))
+        assert segmenter.n_seen == 0 and not segmenter._prefix and segmenter._knn is None
+        segmenter.process(stationary_noise[:2_000])
+        assert segmenter.n_seen == segmenter._knn.n_seen == 2_000
+        assert [event.kind for event in segmenter.events()][:1] == ["warmup"]
+
+    @pytest.mark.parametrize("rows", [1, 100])
+    def test_non_finite_value_in_one_channel_raises_before_any_channel_ingests(
+        self, stationary_noise, rows
+    ):
+        segmenter = MultivariateClaSS(n_channels=3, window_size=1_000, subsequence_width=20)
+        values = np.stack([stationary_noise[:1_100]] * 3, axis=1)
+        segmenter.process(values[:1_000])
+        dirty = values[1_000 : 1_000 + rows].copy()
+        dirty[-1, 2] = np.nan
+        with pytest.raises(ConfigurationError, match="finite"):
+            if rows == 1:
+                segmenter.update(dirty[0])
+            else:
+                segmenter.process(dirty)
+        assert [channel.n_seen for channel in segmenter.segmenters] == [1_000] * 3
+        assert segmenter.n_seen == 1_000

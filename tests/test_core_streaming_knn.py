@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import streaming_knn
 from repro.core.class_segmenter import ClaSS
 from repro.core.similarity import SIMILARITY_MEASURES, pairwise_similarity_matrix
 from repro.core.streaming_knn import (
@@ -393,6 +394,22 @@ class TestSendAndBlocks:
         assert max(calls) == BLOCK_ROWS > exclusion_radius(4)
         assert min(calls) >= 2
 
+    @pytest.mark.parametrize("limit", (56, 57))
+    def test_only_windows_up_to_the_limit_advance_in_blocks(self, monkeypatch, limit):
+        calls = []
+        block_step = StreamingKNN._block_step
+
+        def counted(knn, steps):
+            calls.append(steps)
+            return block_step(knn, steps)
+
+        monkeypatch.setattr(StreamingKNN, "_block_step", counted)
+        monkeypatch.setattr(streaming_knn, "BLOCK_MAX_SUBSEQUENCES", limit)
+        values = block_values("quantised", 300, 3)
+        knn = StreamingKNN(window_size=60, subsequence_width=4, kernel_backend="numpy")
+        advance(knn.update_many(values), [BLOCK_ROWS], values.shape[0])
+        assert bool(calls) == (limit >= 60 - 4 + 1)
+
     @pytest.mark.parametrize("backend", ("numpy", "loops"))
     @pytest.mark.parametrize("mode", KNN_MODES)
     def test_send_advances_n_observations(self, rng, backend, mode):
@@ -475,6 +492,18 @@ class TestCheckpointBytes:
         first = self.run_after_freeing(-np.inf, values)
         second = self.run_after_freeing(0.123456789, values)
         assert first == second
+
+    @pytest.mark.parametrize("similarity", SIMILARITY_MEASURES)
+    def test_reset_knn_saves_the_bytes_of_a_fresh_one(self, rng, similarity):
+        config = dict(window_size=100, subsequence_width=5, similarity=similarity)
+        values = rng.normal(size=210)
+        reset = StreamingKNN(**config)
+        ingest(reset, values[:150])  # slides the window and compacts the buffer
+        reset.reset()
+        ingest(reset, values[150:])
+        fresh = StreamingKNN(**config)
+        ingest(fresh, values[150:])
+        assert pickle.dumps(reset.state_dict()) == pickle.dumps(fresh.state_dict())
 
     def test_fresh_backing_arrays_are_zero(self):
         knn = StreamingKNN(window_size=50, subsequence_width=5, similarity="cid")

@@ -16,6 +16,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.kernels as kernels_module
 from repro.api import ClaSSConfig, create
@@ -27,8 +29,12 @@ from repro.core.kernels import (
     get_backend,
 )
 from repro.core.scoring import fused_split_scores
-from repro.core.similarity import SIMILARITY_MEASURES
-from repro.core.streaming_knn import KNN_MODES, StreamingKNN
+from repro.core.similarity import (
+    SIMILARITY_MEASURES,
+    get_similarity_from_stats,
+    pearson_from_dot_products,
+)
+from repro.core.streaming_knn import KNN_MODES, STD_FLOOR, StreamingKNN
 from repro.utils.exceptions import ConfigurationError
 
 HAS_NUMBA = "numba" in available_backends()
@@ -229,6 +235,176 @@ class TestKernelLevelEquivalence:
         expected = fused_split_scores(pred_zero_from, splits, m, score)
         got = other.fused_split_scores(pred_zero_from, splits, m, score)
         np.testing.assert_array_equal(np.asarray(got), expected)
+
+
+def expression_rows(measure, dots, means, stds, query_means, query_stds, w, comps, query_comps):
+    """The numpy similarity rows written as plain expressions (fresh arrays, np.clip)."""
+    w = float(w)
+    numerator = dots - w * means * query_means
+    denominator = w * stds * query_stds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = numerator / denominator
+    corr = np.where(denominator > 0.0, corr, 0.0)
+    corr = np.clip(corr, -1.0, 1.0)
+    if measure == "pearson":
+        return corr
+    dist = np.sqrt(np.maximum(2.0 * w * (1.0 - np.clip(corr, -1.0, 1.0)), 0.0))
+    if measure == "euclidean":
+        return -dist
+    ce = np.maximum(comps, 1e-8)
+    ce_query = np.maximum(query_comps, 1e-8)
+    return -dist * (np.maximum(ce, ce_query) / np.minimum(ce, ce_query))
+
+
+def expression_extend_shrink(partial, extend_values, newest, shrink_values, oldest, q_out):
+    """``extend_shrink`` written as plain expressions."""
+    full = partial + extend_values * newest
+    q_out[: full.shape[0]] = full - shrink_values * oldest
+    return full
+
+
+def expression_topk_newest(similarities, low, take, first_global, idx_out, sim_out):
+    """``topk_newest`` over a copy of the candidates."""
+    candidates = similarities[:low].copy()
+    for slot in range(take):
+        best = int(candidates.argmax())
+        idx_out[slot] = best + first_global
+        sim_out[slot] = candidates[best]
+        candidates[best] = -np.inf
+
+
+def kernel_inputs(seed: int, rows: int, m: int, w: int):
+    """Profiles with floored stds, exact +/-1 correlations and clipped ones."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, m)
+    means = rng.normal(size=shape)
+    stds = np.abs(rng.normal(size=shape)) + 1e-3
+    stds[rng.random(shape) < 0.2] = STD_FLOOR
+    comps = np.abs(rng.normal(size=shape))
+    comps[rng.random(shape) < 0.2] = 0.0
+    query_means = rng.normal(size=(rows, 1))
+    query_stds = np.abs(rng.normal(size=(rows, 1))) + 1e-3
+    query_comps = np.abs(rng.normal(size=(rows, 1)))
+    dots = (rng.normal(size=shape) + w * means * query_means) * float(w)
+    exact = rng.random(shape) < 0.2  # numerator equal to +/- the denominator
+    means[exact] = 0.0
+    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    denominator = float(w) * stds * query_stds
+    dots[exact] = (sign * denominator)[exact]
+    clipped = rng.random(shape) < 0.2  # far beyond +/-1
+    dots[clipped] = (sign * denominator * 1e3 + w * means * query_means)[clipped]
+    return dots, means, stds, comps, query_means, query_stds, query_comps
+
+
+class TestNumpyKernelsEqualTheirExpressions:
+    """The in-place numpy kernels equal their plain expressions, element for element."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.integers(min_value=1, max_value=4),
+        m=st.integers(min_value=1, max_value=80),
+        w=st.integers(min_value=2, max_value=40),
+        measure=st.sampled_from(SIMILARITY_MEASURES),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_similarity_rows(self, seed, rows, m, w, measure):
+        dots, means, stds, comps, query_means, query_stds, query_comps = kernel_inputs(
+            seed, rows, m, w
+        )
+        similarity = get_similarity_from_stats(measure)
+        block = similarity(dots, means, stds, query_means, query_stds, w, comps, query_comps)
+        expected = expression_rows(
+            measure, dots, means, stds, query_means, query_stds, w, comps, query_comps
+        )
+        np.testing.assert_array_equal(block, expected)
+        if measure == "pearson":
+            assert np.isin([-1.0, 1.0], expected).any() or m * rows < 40
+        for row in range(rows):  # each row of a (B, m) call equals its own 1-d call
+            single = similarity(
+                dots[row],
+                means[row],
+                stds[row],
+                query_means[row, 0],
+                query_stds[row, 0],
+                w,
+                comps[row],
+                query_comps[row, 0],
+            )
+            np.testing.assert_array_equal(single, expected[row])
+        # the numpy backend's profile kernel: the query is the last offset
+        profile = get_backend("numpy").similarity_kernel(measure)
+        query = (means[0, -1], stds[0, -1], w, comps[0], comps[0, -1])
+        expected_profile = expression_rows(measure, dots[0], means[0], stds[0], *query)
+        np.testing.assert_array_equal(
+            profile(dots[0], means[0], stds[0], m - 1, w, comps[0]), expected_profile
+        )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_zero_denominators_correlate_zero(self, seed, m):
+        rng = np.random.default_rng(seed)
+        dots = rng.normal(size=m) * 10.0
+        means = rng.normal(size=m)
+        stds = np.abs(rng.normal(size=m))
+        stds[rng.random(m) < 0.4] = 0.0  # not floored: the zero-denominator rule
+        query = int(rng.integers(0, m))
+        got = pearson_from_dot_products(dots, means, stds, query, 9)
+        expected = expression_rows(
+            "pearson", dots, means, stds, means[query], stds[query], 9, None, None
+        )
+        np.testing.assert_array_equal(got, expected)
+        assert (got[stds == 0.0] == 0.0).all()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=1, max_value=80),
+        aliased=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extend_shrink(self, seed, m, aliased):
+        rng = np.random.default_rng(seed)
+        extend_values, shrink_values = rng.normal(size=(2, m))
+        newest, oldest = map(float, rng.normal(size=2))
+        store = rng.normal(size=m + 3)
+        expected_store = store.copy()
+        # Case B of the k-NN passes the partial products as a view of q_out
+        partial = store[:m] if aliased else rng.normal(size=m)
+        expected_partial = expected_store[:m] if aliased else partial.copy()
+        full = get_backend("numpy").extend_shrink(
+            partial, extend_values, newest, shrink_values, oldest, store
+        )
+        expected = expression_extend_shrink(
+            expected_partial, extend_values, newest, shrink_values, oldest, expected_store
+        )
+        np.testing.assert_array_equal(full, expected)
+        np.testing.assert_array_equal(store, expected_store)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        low=st.integers(min_value=1, max_value=60),
+        take=st.integers(min_value=1, max_value=6),
+        kind=st.sampled_from(("normal", "ties", "non-finite")),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_topk_newest_leaves_its_input_unchanged(self, seed, low, take, kind):
+        rng = np.random.default_rng(seed)
+        similarities = rng.normal(size=low + 4)
+        if kind == "ties":
+            similarities = np.round(similarities)
+        elif kind == "non-finite":  # fewer finite candidates than slots
+            similarities[rng.random(low + 4) < 0.5] = -np.inf
+            similarities[rng.random(low + 4) < 0.1] = np.nan
+        before = similarities.copy()
+        out = [np.full(take, -1, dtype=np.int64), np.full(take, 7.0)]
+        expected = [np.full(take, -1, dtype=np.int64), np.full(take, 7.0)]
+        get_backend("numpy").topk_newest(similarities, low, take, 50, *out)
+        expression_topk_newest(before.copy(), low, take, 50, *expected)
+        np.testing.assert_array_equal(out[0], expected[0])
+        np.testing.assert_array_equal(out[1], expected[1])
+        assert similarities.tobytes() == before.tobytes()
 
 
 class TestStreamingKNNBackendEquivalence:

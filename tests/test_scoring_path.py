@@ -14,7 +14,8 @@ Four pillars, mirroring the contract of the scoring path:
   table, and so do the significance gate's labels;
 * every scoring pass pruned by the score-threshold bound is one whose full
   profile cannot reach the threshold, and its lazily built profile equals
-  that full profile.
+  that full profile; the bound's histograms, updated from pass to pass,
+  always equal a fresh count of the scored region.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.core import class_segmenter
 from repro.core.class_segmenter import PRUNE_MIN_SPLITS, ClaSS
 from repro.core.cross_val import (
@@ -42,7 +44,13 @@ from repro.core.cross_val import (
     valid_splits,
 )
 from repro.core.kernels import available_backends
-from repro.core.scoring import fused_split_scores, split_score_bound
+from repro.core.scoring import (
+    BOUND_BLOCK,
+    BreakpointHistograms,
+    confusion_prefix_counts,
+    fused_split_scores,
+    split_score_bound,
+)
 from repro.core.streaming_knn import PADDING_INDEX, StreamingKNN
 from repro.utils.exceptions import ConfigurationError
 
@@ -207,22 +215,39 @@ class TestFusedKernelEquivalence:
         m=st.integers(min_value=8, max_value=3_000),
         exclusion=st.integers(min_value=1, max_value=200),
         drift=st.integers(min_value=0, max_value=400),
+        offset=st.integers(min_value=0, max_value=50_000),
         score=st.sampled_from(["macro_f1", "accuracy"]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_split_score_bound_covers_every_split(self, seed, m, exclusion, drift, score):
-        # thresholds near each subsequence's own offset, as in a real region,
+    def test_split_score_bound_covers_every_split(self, seed, m, exclusion, drift, offset, score):
+        # thresholds near each subsequence's own id, as in a real region,
         # plus padded and left-of-region neighbours
         rng = np.random.default_rng(seed)
-        thresholds = np.arange(m) + rng.integers(-drift - 1, drift + 1, m)
+        thresholds = offset + np.arange(m) + rng.integers(-drift - 1, drift + 1, m)
         thresholds[rng.random(m) < 0.05] = PADDING_INDEX
         splits = valid_splits(m, exclusion)
         if splits.size == 0:
             return
-        pred_zero_from = breakpoints_from_thresholds(thresholds, m)
+        pred_zero_from = breakpoints_from_thresholds(thresholds, m, offset)
         best = fused_split_scores(pred_zero_from, splits, m, score).max()
-        bound = split_score_bound(pred_zero_from, int(splits[0]), int(splits[-1]), m, score)
-        assert bound >= best - 1e-12
+        histograms = BreakpointHistograms()
+        histograms.update(thresholds, offset)
+        edges = histograms.block_edges(int(splits[0]), int(splits[-1]))
+        assert split_score_bound(*edges, m, score) >= best - 1e-12
+        # the blocks tile the splits, and their edge counts bound the exact ones
+        first_split, last_split, pred0_first, pred0_last, n00_last = edges
+        np.testing.assert_array_equal(first_split[1:], last_split[:-1] + 1)
+        assert (first_split[0], last_split[-1]) == (splits[0], splits[-1])
+        assert np.all(last_split - first_split < BOUND_BLOCK)
+        n00, pred0 = confusion_prefix_counts(pred_zero_from, np.arange(m + 1), m)
+        assert np.all(pred0_first <= pred0[first_split])
+        assert np.all(pred0_last >= pred0[last_split])
+        assert np.all(n00_last >= n00[last_split])
+        # only the first block's lower and the last block's upper bin edge can
+        # lie beyond its splits; the others are one split before and at them
+        np.testing.assert_array_equal(pred0_first[1:], pred0[first_split[1:] - 1])
+        np.testing.assert_array_equal(pred0_last[:-1], pred0[last_split[:-1]])
+        np.testing.assert_array_equal(n00_last[:-1], n00[last_split[:-1]])
 
 
 def two_regime_stream(rng, half=650):
@@ -521,3 +546,111 @@ class TestThresholdPruning:
             profile = segmenter.score_now()
         assert not isinstance(segmenter._last_profile, functools.partial)
         np.testing.assert_array_equal(profile.scores, clone.last_profile.scores)
+
+
+def counted_afresh(thresholds, offset, origin, n_bins):
+    """Both histograms of a region by definition: threshold and max(threshold, id) per bin."""
+    ids = offset + np.arange(thresholds.shape[0])
+    values = np.stack([thresholds, np.maximum(thresholds, ids)])
+    bins = np.clip(values // BOUND_BLOCK - origin, 0, n_bins - 1)
+    return np.stack([np.bincount(row, minlength=n_bins) for row in bins])
+
+
+@contextlib.contextmanager
+def checked_histograms():
+    """Check the gate's state after every bounded ClaSS pass.
+
+    The maintained histograms must equal a fresh count of the scored region
+    (with the bins of every bounded block above the shared first bin), the
+    kept copy must equal the region's thresholds, and the bound must be at
+    least the pass's exact best score.  Yields the list of ``(bound, best)``
+    pairs of the checked passes.
+    """
+    checked: list[tuple[float, float]] = []
+    pruned = ClaSS._pruned
+
+    def checked_pruned(self, region, exclusion, placement):
+        before = self._histograms.thresholds
+        result = pruned(self, region, exclusion, placement)
+        histograms = self._histograms
+        if histograms.thresholds is before:  # not bounded: region too short
+            return result
+        m = region.thresholds.shape[0]
+        np.testing.assert_array_equal(histograms.thresholds, region.thresholds)
+        assert histograms.offset == region.offset
+        assert histograms.origin < region.offset // BOUND_BLOCK
+        expected = counted_afresh(
+            region.thresholds, region.offset, histograms.origin, histograms.counts.shape[1]
+        )
+        np.testing.assert_array_equal(histograms.counts, expected)
+        low = max(1, exclusion)
+        bound = split_score_bound(*histograms.block_edges(low, m - low), m, self.score)
+        best = cross_val_scores_from_thresholds(
+            region.thresholds, exclusion, self.score, region.offset
+        ).scores.max()
+        assert bound >= best - 1e-12
+        assert result == (bound < self.score_threshold - class_segmenter.PRUNE_MARGIN)
+        checked.append((bound, float(best)))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ClaSS, "_pruned", checked_pruned)
+        yield checked
+
+
+class TestBreakpointHistograms:
+    """Pinned: the bound's histograms, updated pass to pass, equal a fresh count."""
+
+    @given(
+        chunk_size=st.sampled_from([1, 7, 256, 1_024]),
+        scoring_interval=st.sampled_from([1, 3, 8]),
+        relearn_width=st.booleans(),
+        gap_reset=st.booleans(),
+        restore_at=st.sampled_from([None, 1_700, 2_900]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_histograms_equal_a_fresh_count_after_every_bounded_pass(
+        self, chunk_size, scoring_interval, relearn_width, gap_reset, restore_at, seed
+    ):
+        # long enough for bounded passes before and after the change point
+        # and after a re-warm-up
+        values = two_regime_stream(np.random.default_rng(seed), half=2_250)
+        config = dict(PRUNE_WINDOW, scoring_interval=scoring_interval, relearn_width=relearn_width)
+        if gap_reset:
+            # an outage longer than max_gap: the policy layer calls reset_warmup
+            values[2_600:2_640] = np.nan
+            policy = {"nan_policy": "hold-last", "max_gap": 25, "reset_on_gap": True}
+            config["data_policy"] = policy
+        with checked_histograms() as checked:
+            segmenter = api.create("class", config)
+            if restore_at is None:
+                segmenter.process(values, chunk_size=chunk_size)
+            else:
+                segmenter.process(values[:restore_at], chunk_size=chunk_size)
+                payload = pickle.loads(pickle.dumps(segmenter.save_state()))
+                segmenter = api.create("class", config)
+                segmenter.load_state(payload)  # the histograms restart empty
+                segmenter.process(values[restore_at:], chunk_size=chunk_size)
+        assert checked
+        assert any(bound < best + 0.2 for bound, best in checked)  # the bound is tight
+
+    def test_histograms_are_derived_state(self):
+        values = two_regime_stream(np.random.default_rng(3), half=1_500)
+        segmenter = ClaSS(**PRUNE_WINDOW, scoring_interval=2)
+        segmenter.process(values[:2_600])
+        assert segmenter._histograms.thresholds is not None
+        payload = segmenter.save_state()
+        assert "histograms" not in str(sorted(payload))
+        clone = pickle.loads(pickle.dumps(segmenter))  # the parallel ensemble ships these
+        np.testing.assert_array_equal(clone._histograms.counts, segmenter._histograms.counts)
+        segmenter.reset_warmup()
+        assert segmenter._histograms.thresholds is None
+        restored = ClaSS()
+        restored.load_state(payload)
+        assert restored._histograms.thresholds is None
+        with checked_histograms() as checked:
+            clone.process(values[2_600:])
+            restored.process(values[2_600:])
+        assert checked
+        assert clone.reports == restored.reports
