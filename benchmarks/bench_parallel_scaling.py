@@ -5,7 +5,7 @@ The paper's scalability story (Figures 6-7, the Flink operator experiment of
 count over exactly that fig7-style multi-series workload on both parallel
 tiers:
 
-* the process-pool evaluation grid (``evaluate_methods(n_workers=...)``)
+* the process-pool evaluation grid (``run_experiment(n_workers=...)``)
   running ClaSS over every series, and
 * the sharded multi-stream engine (``run_class_pipelines(n_shards, n_workers)``)
   replaying every series as an independent keyed stream.
@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from repro.datasets import SegmentSpec, compose_stream
-from repro.evaluation import default_method_factories, evaluate_methods, format_table
+from repro.evaluation import default_method_factories, format_table, run_experiment
 from repro.streamengine import run_class_pipelines
 
 N_SERIES = int(os.environ.get("REPRO_BENCH_SERIES", 8))
@@ -82,7 +82,7 @@ def test_parallel_scaling_grid_and_sharded_engine(benchmark):
         engine_serial_seconds = None
         for n_workers in WORKER_COUNTS:
             start = time.perf_counter()
-            result = evaluate_methods(methods, suite, n_workers=n_workers)
+            result = run_experiment(methods, suite, n_workers=n_workers)
             grid_seconds = time.perf_counter() - start
             signature = _grid_signature(result)
             if baseline_signature is None:

@@ -57,7 +57,7 @@ def main() -> None:
     def alert(record) -> None:
         event = record.value
         print(f"  [alert] state change at t={event.change_point} "
-              f"(reported at t={event.detected_at}, delay {event.detection_delay})")
+              f"(reported at t={event.at}, delay {event.detection_delay})")
 
     print(f"running batched pipeline (micro-batches of {BATCH_SIZE}) ...")
     pipeline, change_points = build_pipeline(dataset, BATCH_SIZE, alert)

@@ -80,11 +80,6 @@ class BatchClaSPSegmenter:
         return self._segmentation.change_points
 
     @property
-    def detection_times(self) -> np.ndarray:
-        """Every batch detection happens at the end of the stream."""
-        return np.full(self.change_points.shape[0], self._n_seen, dtype=np.int64)
-
-    @property
     def segmentation(self):
         """The full :class:`~repro.core.clasp_batch.BatchSegmentation` (after finalize)."""
         return self._segmentation

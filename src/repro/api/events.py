@@ -24,10 +24,6 @@ Events are frozen dataclasses with a stable ``kind`` discriminator and a
 lossless JSON mapping (:meth:`SegmenterEvent.to_dict` /
 :func:`event_from_dict`), so an event stream can be shipped across process
 boundaries, written as JSON lines by the CLI, or replayed for audit.
-
-The stream-engine's record-level :class:`repro.streamengine.records.ChangePointEvent`
-predates this module and stays unchanged; the two types serve different
-layers (engine records vs. public API events).
 """
 
 from __future__ import annotations

@@ -424,7 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     segment_parser.add_argument("--demo", action="store_true", help="use the built-in demo stream")
     segment_parser.add_argument("--window-size", type=int, default=10_000)
     segment_parser.add_argument("--subsequence-width", type=int, default=None)
-    segment_parser.add_argument("--scoring-interval", type=int, default=10)
+    segment_parser.add_argument(
+        "--scoring-interval",
+        type=int,
+        default=10,
+        help="run the ClaSP scoring pass every N observations (default 10, where "
+        "ClaSSConfig and the paper use 1: scoring a tenth as often keeps interactive "
+        "runs quick; pass 1 for the paper's setting)",
+    )
     segment_parser.add_argument("--significance-level", type=float, default=1e-50)
     segment_parser.add_argument(
         "--chunk-size",

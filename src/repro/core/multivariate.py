@@ -27,14 +27,14 @@ throughput.
 
 Because the per-channel segmenters share nothing until fusion, the fan-out
 also parallelises: ``process(values, n_workers=...)`` streams each channel's
-column in its own worker process and replays the identical fusion decisions
-on the collected reports, so the parallel path is bit-identical to the
-sequential one.
+column as one task of :func:`repro.utils.parallel.run_ordered` (one worker
+process per channel) and replays the identical fusion decisions on the
+collected reports, so the parallel path is bit-identical to the sequential
+one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,6 +42,7 @@ import numpy as np
 from repro.core.class_segmenter import DEFAULT_CHUNK_SIZE, ClaSS
 from repro.core.streaming_knn import require_finite
 from repro.utils.exceptions import ConfigurationError
+from repro.utils.parallel import run_ordered
 
 
 @dataclass
@@ -285,10 +286,8 @@ class MultivariateClaSS:
             chunk_size = DEFAULT_CHUNK_SIZE
         elif chunk_size < 1:
             raise ConfigurationError("chunk_size must be a positive integer")
-        if n_workers is not None and n_workers < 1:
-            raise ConfigurationError("n_workers must be a positive integer")
         self._require_finite(values)
-        if n_workers is not None and n_workers > 1 and self.n_channels > 1:
+        if n_workers is not None and n_workers != 1:
             self._process_parallel(values, chunk_size, n_workers)
             return self.change_points
         for start in range(0, values.shape[0], chunk_size):
@@ -356,10 +355,10 @@ class MultivariateClaSS:
         return newly_fused
 
     def _process_parallel(self, values: np.ndarray, chunk_size: int, n_workers: int) -> list[int]:
-        """Stream every active channel's column in its own worker process.
+        """Stream every active channel's column as one :func:`run_ordered` task.
 
         Chunked ingestion is behaviour-identical for any call split, so each
-        worker consumes its whole column in one ``process`` call (cut into
+        task consumes its whole column in one ``process`` call (cut into
         ``chunk_size`` chunks internally).  The updated segmenters are
         shipped back and reattached, keeping the ensemble's streaming state
         valid for subsequent ``update``/``process`` calls.
@@ -374,14 +373,13 @@ class MultivariateClaSS:
             for channel, column in columns.items()
         ]
         new_reports: list[ChannelReport] = []
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(tasks))) as pool:
-            for channel, segmenter, seen_before in pool.map(_stream_channel, tasks):
-                self.segmenters[channel] = segmenter
-                new_reports.extend(
-                    self._as_channel_reports(
-                        channel, self.channel_weights[channel], segmenter.reports[seen_before:]
-                    )
+        for channel, segmenter, seen_before in run_ordered(_stream_channel, tasks, n_workers):
+            self.segmenters[channel] = segmenter
+            new_reports.extend(
+                self._as_channel_reports(
+                    channel, self.channel_weights[channel], segmenter.reports[seen_before:]
                 )
+            )
         self._n_seen += values.shape[0]
         return self._replay_fusion(new_reports)
 

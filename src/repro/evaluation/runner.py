@@ -14,41 +14,34 @@ the dataset and returning a ready-to-stream segmenter.
 :func:`default_method_factories` builds the paper-configured factories for
 ClaSS and all eight competitors.
 
-All built-in factories are plain picklable objects (not closures), so every
-method x dataset cell of the grid can be shipped to a worker process by the
-process-pool executor in :mod:`repro.evaluation.parallel`;
-:func:`run_experiment` accepts ``n_workers`` and delegates to it.
+Every method x dataset cell is an independent job, so
+:func:`run_experiment` can fan the grid out over worker processes
+(``n_workers``) through :func:`repro.utils.parallel.run_ordered`.  All
+built-in factories are plain picklable objects (not closures), so they cross
+the process boundary unchanged; records come back in the sequential order
+and are identical to a sequential run.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.api import ClaSSConfig, FLOSSConfig, WindowConfig, create
+from repro.api import ClaSSConfig, FLOSSConfig, Segmenter, WindowConfig, create
 from repro.core.class_segmenter import ClaSS, capped_window_size
 from repro.datasets.dataset import TimeSeriesDataset
 from repro.evaluation.covering import covering_score
 from repro.evaluation.metrics import change_point_f1
 from repro.utils.exceptions import ConfigurationError
-
-
-class SupportsStreaming(Protocol):
-    """Structural type shared by ClaSS and every competitor."""
-
-    def update(self, value: float) -> int | None:  # pragma: no cover - protocol
-        ...
-
-    @property
-    def change_points(self) -> np.ndarray:  # pragma: no cover - protocol
-        ...
-
+from repro.utils.parallel import run_ordered
 
 #: A method factory builds a fresh segmenter configured for one dataset.
-MethodFactory = Callable[[TimeSeriesDataset], SupportsStreaming]
+MethodFactory = Callable[[TimeSeriesDataset], Segmenter]
 
 
 @dataclass
@@ -85,13 +78,63 @@ class EvaluationRecord:
 
 
 @dataclass
+class WorkerStats:
+    """Wall-clock and throughput accounting of one worker process."""
+
+    worker: int
+    n_tasks: int = 0
+    busy_seconds: float = 0.0
+    n_timepoints: int = 0
+
+    @property
+    def throughput(self) -> float:
+        """Observations streamed per busy second by this worker."""
+        if self.busy_seconds <= 0:
+            return float("inf")
+        return self.n_timepoints / self.busy_seconds
+
+
+@dataclass
+class GridExecutionStats:
+    """Aggregated accounting of one parallel grid execution."""
+
+    n_workers: int
+    n_tasks: int
+    wall_seconds: float
+    workers: list[WorkerStats] = field(default_factory=list)
+
+    @property
+    def busy_seconds(self) -> float:
+        """Total time spent streaming across all workers."""
+        return sum(worker.busy_seconds for worker in self.workers)
+
+    @property
+    def speedup(self) -> float:
+        """Aggregate busy time over wall time — the achieved parallel speedup."""
+        if self.wall_seconds <= 0:
+            return float("inf")
+        return self.busy_seconds / self.wall_seconds
+
+    def as_rows(self) -> list[dict]:
+        """Per-worker rows for the report writers."""
+        return [
+            {
+                "worker": stats.worker,
+                "tasks": stats.n_tasks,
+                "busy_s": round(stats.busy_seconds, 3),
+                "points_per_s": round(stats.throughput, 1),
+            }
+            for stats in self.workers
+        ]
+
+
+@dataclass
 class ExperimentResult:
     """All records of one experiment, with aggregation helpers."""
 
     records: list[EvaluationRecord] = field(default_factory=list)
-    #: Per-worker accounting of a parallel grid run (None for sequential runs);
-    #: a :class:`repro.evaluation.parallel.GridExecutionStats` when set.
-    grid_stats: object | None = None
+    #: Per-worker accounting of a parallel grid run (None for sequential runs).
+    grid_stats: GridExecutionStats | None = None
 
     @property
     def methods(self) -> list[str]:
@@ -164,42 +207,25 @@ class ExperimentResult:
 
 
 def stream_dataset(
-    segmenter: SupportsStreaming,
+    segmenter: Segmenter,
     dataset: TimeSeriesDataset,
     chunk_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Replay ``dataset`` through ``segmenter`` via the chunked ingestion path.
 
-    Segmenters exposing the batch contract (``process(values, chunk_size=...)``,
-    i.e. ClaSS and every competitor) receive the series in chunks — which is
-    behaviour-identical to point-wise streaming but substantially faster;
-    anything else is fed one observation at a time.  Returns the predicted
-    change points, the detection times and the elapsed wall-clock seconds.
+    The series goes through ``process`` in chunks (behaviour-identical to
+    point-wise streaming, substantially faster), then ``finalize`` flushes
+    end-of-stream state.  Returns the predicted change points and their
+    detection times, both read from the segmenter's ``change_point``
+    events, and the elapsed wall-clock seconds.
     """
-    values = dataset.values
     start = time.perf_counter()
-    if hasattr(segmenter, "process"):
-        if chunk_size is None:
-            segmenter.process(values)
-        else:
-            segmenter.process(values, chunk_size=chunk_size)
-    else:
-        for value in values:
-            segmenter.update(float(value))
-    if hasattr(segmenter, "finalise"):
-        segmenter.finalise()
+    segmenter.process(dataset.values, chunk_size=chunk_size)
+    segmenter.finalize()
     elapsed = time.perf_counter() - start
-    change_points = np.asarray(segmenter.change_points, dtype=np.int64)
-    if hasattr(segmenter, "detection_times"):
-        detection_times = np.asarray(segmenter.detection_times, dtype=np.int64)
-    elif hasattr(segmenter, "reports"):
-        detection_times = np.asarray(
-            [report.detected_at for report in segmenter.reports], dtype=np.int64
-        )
-    else:
-        detection_times = change_points.copy()
-    if detection_times.shape[0] != change_points.shape[0]:
-        detection_times = detection_times[: change_points.shape[0]]
+    detections = [event for event in segmenter.events() if event.kind == "change_point"]
+    change_points = np.asarray([event.change_point for event in detections], dtype=np.int64)
+    detection_times = np.asarray([event.at for event in detections], dtype=np.int64)
     return change_points, detection_times, elapsed
 
 
@@ -232,6 +258,22 @@ def run_method_on_dataset(
     )
 
 
+def _run_cell(
+    cell: tuple[str, MethodFactory, TimeSeriesDataset], verbose: bool = False
+) -> tuple[int, float, EvaluationRecord]:
+    """Stream one grid cell; return ``(worker pid, busy seconds, record)``, timed in the worker."""
+    method_name, factory, dataset = cell
+    start = time.perf_counter()
+    record = run_method_on_dataset(method_name, factory, dataset)
+    busy_seconds = time.perf_counter() - start
+    if verbose:  # pragma: no cover - console output
+        print(
+            f"  {method_name:14s} {dataset.name:24s} covering={record.covering:.3f} "
+            f"({record.runtime_seconds:.2f}s)"
+        )
+    return os.getpid(), busy_seconds, record
+
+
 def run_experiment(
     methods: dict[str, MethodFactory],
     datasets: Sequence[TimeSeriesDataset],
@@ -240,30 +282,38 @@ def run_experiment(
 ) -> ExperimentResult:
     """Stream every dataset through every method and collect all records.
 
-    With ``n_workers`` greater than one, the method x dataset grid is fanned
-    out over a shared-nothing process pool (see
-    :func:`repro.evaluation.parallel.evaluate_methods`); the records are
-    identical to the sequential path and arrive in the same order.
+    The method x dataset cells run dataset-major through
+    :func:`repro.utils.parallel.run_ordered`: in this process for
+    ``n_workers`` of ``None`` or ``1``, else on that many worker processes
+    (every factory must then be picklable).  The records are identical for
+    every worker count and arrive in the same order; parallel runs also set
+    :attr:`ExperimentResult.grid_stats`.
     """
     if not methods:
         raise ConfigurationError("at least one method factory is required")
-    if n_workers is not None:
-        if n_workers < 1:
-            raise ConfigurationError("n_workers must be a positive integer")
-        if n_workers > 1:
-            from repro.evaluation.parallel import evaluate_methods
-
-            return evaluate_methods(methods, datasets, n_workers=n_workers, verbose=verbose)
-    result = ExperimentResult()
-    for dataset in datasets:
-        for method_name, factory in methods.items():
-            record = run_method_on_dataset(method_name, factory, dataset)
-            result.records.append(record)
-            if verbose:  # pragma: no cover - console output
-                print(
-                    f"  {method_name:14s} {dataset.name:24s} covering={record.covering:.3f} "
-                    f"({record.runtime_seconds:.2f}s)"
-                )
+    cells = [(name, factory, dataset) for dataset in datasets for name, factory in methods.items()]
+    wall_start = time.perf_counter()
+    outcomes = run_ordered(
+        functools.partial(_run_cell, verbose=verbose),
+        cells,
+        n_workers,
+        names=[f"method {name!r} on dataset {dataset.name!r}" for name, _, dataset in cells],
+    )
+    wall_seconds = time.perf_counter() - wall_start
+    result = ExperimentResult([record for _, _, record in outcomes])
+    if n_workers is not None and n_workers > 1:
+        workers: dict[int, WorkerStats] = {}
+        for pid, busy_seconds, record in outcomes:
+            stats = workers.setdefault(pid, WorkerStats(worker=pid))
+            stats.n_tasks += 1
+            stats.busy_seconds += busy_seconds
+            stats.n_timepoints += record.n_timepoints
+        result.grid_stats = GridExecutionStats(
+            n_workers=n_workers,
+            n_tasks=len(cells),
+            wall_seconds=wall_seconds,
+            workers=[workers[pid] for pid in sorted(workers)],
+        )
     return result
 
 
@@ -374,7 +424,7 @@ def default_method_factories(
     """Paper-configured factories for ClaSS and the eight competitors.
 
     Every returned factory is picklable, so the dictionary can be handed to
-    the parallel grid executor as-is.
+    a parallel :func:`run_experiment` as-is.
 
     Parameters
     ----------

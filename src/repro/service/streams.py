@@ -9,7 +9,7 @@ get a typed 410 ``history-truncated`` carrying the oldest cursor that still
 works.
 Streams are hash-routed to shard workers with the *same* process-stable
 CRC-32 partitioning the batch engine uses
-(:func:`repro.streamengine.sharded.shard_for_key`), so a stream name maps to
+(:func:`repro.utils.parallel.shard_for_key`), so a stream name maps to
 the same shard here and in an offline :class:`~repro.streamengine.sharded.ShardedPipeline`
 replay — and the assignment can be overridden per stream by the elastic
 rebalancing path (freeze → checkpoint → adopt on another worker → resume).
@@ -34,8 +34,8 @@ import numpy as np
 from repro.api import ScoreEvent, create, event_from_dict
 from repro.service.errors import ServiceError, unknown_stream
 from repro.storage.history import DEFAULT_HISTORY_WINDOW, StreamHistory
-from repro.streamengine.sharded import shard_for_key
 from repro.utils.exceptions import ConfigurationError, HistoryTruncatedError, ReproError
+from repro.utils.parallel import shard_for_key
 
 #: Accepted stream names (URL-safe, bounded).
 STREAM_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")

@@ -21,8 +21,9 @@ The design follows the write path of an LSM/time-series store:
   :func:`recover_chunk_store` cleans both up.
 * :class:`StoredStream` opens segments with ``np.load(..., mmap_mode="r")``
   and exposes a zero-copy chunk iterator, so a reader's resident memory is
-  bounded by one segment regardless of stream length: each segment's pages
-  are unmapped as soon as the iterator moves past it.
+  bounded by one segment regardless of stream length: a segment's map is
+  released once the iterator has moved past it and the last chunk viewing
+  it is gone, so a chunk stays readable for as long as it is referenced.
 
 Integrity: every manifest entry records the segment's byte length and
 CRC-32.  Opening a stream validates the (cheap) byte lengths and raises
@@ -81,26 +82,6 @@ def fsync_directory(directory: Path) -> None:
         os.fsync(handle)
     finally:
         os.close(handle)
-
-
-def release_memmap(array) -> None:
-    """Unmap a ``np.memmap``'s pages as soon as the reader is done with it.
-
-    Dropping resident file pages promptly is what keeps a whole-stream scan
-    at one-segment RSS.  numpy does not hold the map's buffer export while
-    an array views it, so the close succeeds even when views are still
-    alive: such a view then points at unmapped memory, and reading it can
-    crash the process (a known defect, listed in ``ROADMAP.md``).  Callers
-    must drop or copy every view of the map first.  ``BufferError`` and
-    ``ValueError`` from ``close`` are ignored.
-    """
-    mapping = getattr(array, "_mmap", None)
-    if mapping is None:
-        return
-    try:
-        mapping.close()
-    except (BufferError, ValueError):
-        pass
 
 
 def _load_manifest(directory: Path) -> dict:
@@ -426,9 +407,10 @@ class StoredStream:
 
         Chunks never cross a segment boundary (so they stay views into one
         mapping), which means a chunk may be shorter than ``chunk_size`` —
-        harmless for every detector thanks to chunk invariance.  Each yielded
-        view is only guaranteed valid until the next iteration: the previous
-        segment's pages are unmapped as the iterator moves on.  With
+        harmless for every detector thanks to chunk invariance.  A chunk,
+        and any slice of it, keeps its segment's map alive: a consumer that
+        drops its chunks as it goes reads one segment at a time, and one
+        that keeps a chunk can read it after the iteration.  With
         ``chunk_size=None`` each segment is yielded whole.
 
         Raises
@@ -455,15 +437,12 @@ class StoredStream:
             lo = max(start, seg_start) - seg_start
             hi = min(stop, seg_stop) - seg_start
             step = hi - lo if chunk_size is None else chunk_size
-            try:
-                for offset in range(lo, hi, step):
-                    yield array[offset : min(offset + step, hi)]
-            finally:
-                release_memmap(array)
+            for offset in range(lo, hi, step):
+                yield array[offset : min(offset + step, hi)]
 
     def read(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Materialise rows ``[start, stop)`` as one contiguous in-memory array."""
-        # copy inside the loop: each yielded view dies with its segment's map
+        # copy each chunk, so the result is writable and holds no segment map
         pieces = [np.array(chunk, copy=True) for chunk in self.iter_chunks(start=start, stop=stop)]
         if not pieces:
             shape = (0,) if self.columns == 0 else (0, self.columns)

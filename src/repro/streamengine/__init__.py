@@ -15,20 +15,14 @@ from repro.streamengine.operators import (
     SlidingWindowOperator,
 )
 from repro.streamengine.pipeline import Pipeline, PipelineMetrics
-from repro.streamengine.records import ChangePointEvent, Record, RecordBatch
-from repro.streamengine.sharded import (
-    KeyedStreamResult,
-    ShardedPipeline,
-    ShardedRunResult,
-    shard_for_key,
-)
+from repro.streamengine.records import Record, RecordBatch
+from repro.streamengine.sharded import KeyedStreamResult, ShardedPipeline, ShardedRunResult
 from repro.streamengine.sinks import CallbackSink, ChangePointSink, CollectSink
 from repro.streamengine.sources import ArraySource, BatchingSource, DatasetSource, PacedSource
 
 __all__ = [
     "Record",
     "RecordBatch",
-    "ChangePointEvent",
     "ArraySource",
     "BatchingSource",
     "DatasetSource",
@@ -51,5 +45,4 @@ __all__ = [
     "ShardedPipeline",
     "ShardedRunResult",
     "KeyedStreamResult",
-    "shard_for_key",
 ]

@@ -21,7 +21,7 @@ from repro.api import ClaSSConfig, create
 from repro.core.class_segmenter import capped_window_size
 from repro.datasets.dataset import TimeSeriesDataset
 from repro.streamengine.operators import SegmentationOperator
-from repro.streamengine.pipeline import Pipeline, PipelineMetrics
+from repro.streamengine.pipeline import PipelineMetrics
 from repro.streamengine.sharded import ShardedPipeline, ShardedRunResult
 from repro.streamengine.sinks import ChangePointSink
 from repro.streamengine.sources import DatasetSource
@@ -82,27 +82,18 @@ def run_class_pipeline(
     operator feeds them to ClaSS's chunked ingestion path — same change
     points, higher throughput.  ``kernel_backend`` selects the k-NN kernel
     backend of :mod:`repro.core.kernels` (``"auto"`` picks the fastest
-    available; change points are identical for every backend).
+    available; change points are identical for every backend).  This is the
+    one-stream case of :func:`run_class_pipelines`.
     """
-    capped_window = capped_window_size(window_size, dataset.n_timepoints)
-    operator = ClaSSWindowOperator(
-        window_size=capped_window,
+    results, _ = run_class_pipelines(
+        [dataset],
+        window_size=window_size,
         scoring_interval=scoring_interval,
+        batch_size=batch_size,
         kernel_backend=kernel_backend,
         **class_kwargs,
     )
-    sink = ChangePointSink()
-    pipeline = Pipeline(
-        DatasetSource(dataset, batch_size=batch_size), name=f"class::{dataset.name}"
-    )
-    pipeline.add_operator(operator).add_sink(sink)
-    metrics = pipeline.run()
-    return ClaSSPipelineResult(
-        dataset=dataset.name,
-        change_points=sink.change_points,
-        detection_delays=sink.detection_delays,
-        metrics=metrics,
-    )
+    return results[0]
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,11 @@ zero or more records downstream.  The one-at-a-time model mirrors Flink's
 processing contract; the batch path is the engine's amortised fast lane:
 :meth:`Operator.process_batch` defaults to exploding the batch through
 :meth:`Operator.process`, and operators with a cheaper batch implementation
-override it.  :class:`SegmentationOperator` wraps any object implementing the
-streaming segmentation protocol (ClaSS or any competitor), forwards whole
-batches to the segmenter's chunked ingestion path, and turns its reported
-change points into :class:`~repro.streamengine.records.ChangePointEvent`
-records — precisely the role of the paper's ClaSS Flink window operator.
+override it.  :class:`SegmentationOperator` wraps any
+:class:`repro.api.Segmenter` (ClaSS or any competitor), forwards whole
+batches to the segmenter's chunked ingestion path, and emits its typed
+:class:`repro.api.ChangePointEvent` events as records — precisely the role
+of the paper's ClaSS Flink window operator.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.streamengine.records import ChangePointEvent, Record, RecordBatch
+from repro.api import ChangePointEvent, ensure_segmenter
+from repro.streamengine.records import Record, RecordBatch
 
 
 class Operator(abc.ABC):
@@ -118,83 +119,64 @@ class SlidingWindowOperator(Operator):
 class SegmentationOperator(Operator):
     """Wrap a streaming segmenter (ClaSS or a competitor) as a stream operator.
 
-    Incoming value records are fed to the segmenter; whenever it reports a
-    change point, a :class:`ChangePointEvent` record is emitted downstream.
-    Batches are forwarded to the segmenter's chunked ``process`` path in one
-    call, so the operator adds only per-batch (not per-record) overhead.
+    Incoming value records are fed to the segmenter, and every new
+    ``change_point`` entry of its :meth:`~repro.api.Segmenter.events` is
+    emitted downstream as a record carrying that
+    :class:`repro.api.ChangePointEvent`, stamped with the timestamp of the
+    observation that triggered it.  Batches are forwarded to the segmenter's
+    chunked ``process`` path in one call, so the operator adds only
+    per-batch (not per-record) overhead, and both paths emit the events the
+    segmenter reports.  :meth:`flush` finalizes the segmenter and emits the
+    change points reported at the end of the stream.
     """
 
     name = "segmentation"
 
     def __init__(self, segmenter, forward_values: bool = False) -> None:
-        self.segmenter = segmenter
+        self.segmenter = ensure_segmenter(segmenter, "segmentation operator")
         self.forward_values = bool(forward_values)
         self.n_processed = 0
-        self._n_emitted = 0  # change points already turned into events (batch path)
+        self._n_emitted = 0  # change_point events already emitted
+        self._last: Record | RecordBatch | None = None  # carries the latest observation
 
     def process(self, record: Record) -> Iterable[Record]:
         self.n_processed += 1
+        self._last = record
         change_point = self.segmenter.update(float(record.value))
         if self.forward_values:
             yield record
         if change_point is not None:
-            event = ChangePointEvent(
-                change_point=int(change_point),
-                detected_at=int(record.timestamp) + 1,
-                stream=record.stream,
-                score=float(getattr(self.segmenter, "last_score", 0.0)),
-            )
-            yield Record(timestamp=record.timestamp, value=event, stream=record.stream)
+            for event in self._new_change_points():
+                yield Record(timestamp=record.timestamp, value=event, stream=record.stream)
 
     def process_batch(self, batch: RecordBatch) -> Iterable[Record | RecordBatch]:
         n = len(batch)
-        seen_before = int(getattr(self.segmenter, "n_seen", self.n_processed))
+        seen_before = self.segmenter.n_seen
         self.n_processed += n
-        if hasattr(self.segmenter, "process"):
-            self.segmenter.process(batch.values)
-        else:  # minimal protocol: per-point updates
-            for value in batch.values:
-                self.segmenter.update(float(value))
+        if n:
+            self._last = batch
+        self.segmenter.process(batch.values)
         if self.forward_values:
             yield batch
-        detections = self._new_detections(seen_before)
-        self._n_emitted += len(detections)
-        for change_point, detected_at, score in detections:
-            index = min(max(detected_at - seen_before - 1, 0), n - 1)
-            timestamp = int(batch.timestamps[index])
-            event = ChangePointEvent(
-                change_point=int(change_point),
-                detected_at=timestamp + 1,
-                stream=batch.stream,
-                score=score,
-            )
-            yield Record(timestamp=timestamp, value=event, stream=batch.stream)
-
-    def _new_detections(self, seen_before: int) -> list[tuple[int, int, float]]:
-        """(change_point, detected_at, score) for detections after ``seen_before``."""
-        segmenter = self.segmenter
-        if hasattr(segmenter, "reports"):  # ClaSS: detailed reports
-            return [
-                (r.change_point, r.detected_at, float(getattr(r, "score", 0.0)))
-                for r in segmenter.reports
-                if r.detected_at > seen_before
-            ]
-        change_points = np.asarray(segmenter.change_points, dtype=np.int64)
-        if hasattr(segmenter, "detection_times"):  # StreamSegmenter competitors
-            times = np.asarray(segmenter.detection_times, dtype=np.int64)
-            score = float(getattr(segmenter, "last_score", 0.0))
-            return [
-                (int(cp), int(t), score)
-                for cp, t in zip(change_points, times)
-                if int(t) > seen_before
-            ]
-        # minimal protocol (no detection times): emit every change point not
-        # yet turned into an event, stamped at the end of the batch
-        score = float(getattr(segmenter, "last_score", 0.0))
-        n_seen = int(getattr(segmenter, "n_seen", seen_before))
-        return [(int(cp), n_seen, score) for cp in change_points[self._n_emitted :]]
+        for event in self._new_change_points():
+            # the observation at detector position `at` is the batch's (at - seen_before)-th
+            index = min(max(event.at - seen_before - 1, 0), n - 1)
+            yield Record(timestamp=int(batch.timestamps[index]), value=event, stream=batch.stream)
 
     def flush(self) -> Iterable[Record]:
-        if hasattr(self.segmenter, "finalise"):
-            self.segmenter.finalise()
-        return []
+        self.segmenter.finalize()
+        last = self._last
+        if last is None:
+            return []
+        timestamp = last.timestamp if isinstance(last, Record) else int(last.timestamps[-1])
+        return [
+            Record(timestamp=timestamp, value=event, stream=last.stream)
+            for event in self._new_change_points()
+        ]
+
+    def _new_change_points(self) -> list[ChangePointEvent]:
+        """The segmenter's ``change_point`` events not emitted yet."""
+        events = [event for event in self.segmenter.events() if event.kind == "change_point"]
+        fresh = events[self._n_emitted :]
+        self._n_emitted = len(events)
+        return fresh

@@ -1,11 +1,12 @@
-"""Record and event types flowing through the stream engine.
+"""Record types flowing through the stream engine.
 
 The engine is a deliberately small, single-process substitute for the Apache
 Flink deployment of the paper (§4.4): it models the integration surface that
 matters for a streaming segmentation operator — delivery of timestamped
 records (one at a time, or coalesced into :class:`RecordBatch` micro-batches
 for amortised ingestion), stateful operators, sinks, and throughput
-accounting — without a cluster runtime.
+accounting — without a cluster runtime.  Change points travel as records
+whose value is the detector's own :class:`repro.api.ChangePointEvent`.
 """
 
 from __future__ import annotations
@@ -80,17 +81,3 @@ class RecordBatch:
         timestamps = np.arange(first_timestamp, first_timestamp + values.shape[0], dtype=np.int64)
         return cls(timestamps=timestamps, values=values, stream=stream, metadata=metadata or {})
 
-
-@dataclass(frozen=True)
-class ChangePointEvent:
-    """Event emitted by a segmentation operator when a change point is found."""
-
-    change_point: int
-    detected_at: int
-    stream: str
-    score: float = 0.0
-
-    @property
-    def detection_delay(self) -> int:
-        """Observations between the change point and its detection."""
-        return int(self.detected_at - self.change_point)

@@ -8,9 +8,10 @@ independent pipeline replicas.  Every distinct stream key owns a full
 ``source -> operator* -> sink`` chain (built by per-key factories, reusing
 the :class:`~repro.streamengine.records.RecordBatch` routing of the base
 engine), chains are assigned to shards by a process-stable hash of their key
-(CRC-32, deliberately not the per-process-salted builtin ``hash``), and each
-shard executes its chains with zero shared state — so shards can run in this
-process or on a pool of worker processes with bit-identical results.
+(:func:`repro.utils.parallel.shard_for_key`, CRC-32, deliberately not the
+per-process-salted builtin ``hash``), and each shard executes its chains with
+zero shared state — so shards can run in this process or on the pool of
+:func:`repro.utils.parallel.run_ordered` with bit-identical results.
 
 The run returns a :class:`ShardedRunResult` holding per-key metrics and
 sinks, an aggregated :class:`~repro.streamengine.pipeline.PipelineMetrics`,
@@ -22,8 +23,6 @@ sorted by ``(stream, timestamp)``, which is identical for every shard count
 from __future__ import annotations
 
 import time
-import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -31,18 +30,7 @@ from repro.streamengine.pipeline import Pipeline, PipelineMetrics
 from repro.streamengine.records import Record, RecordBatch
 from repro.streamengine.sinks import CollectSink
 from repro.utils.exceptions import ConfigurationError
-from repro.utils.validation import check_picklable
-
-
-def shard_for_key(key: str, n_shards: int) -> int:
-    """Deterministic, process-stable shard index of a stream key.
-
-    Uses CRC-32 instead of the builtin ``hash`` so the partitioning is
-    identical across worker processes and interpreter restarts (builtin
-    string hashing is salted per process unless ``PYTHONHASHSEED`` is
-    pinned).
-    """
-    return zlib.crc32(str(key).encode("utf-8")) % n_shards
+from repro.utils.parallel import run_ordered, shard_for_key
 
 
 @dataclass
@@ -130,12 +118,10 @@ def _chain_sources(sources: list) -> Iterable:
 
 
 def _run_shard(
-    shard: int,
-    jobs: list[tuple[str, list]],
-    operator_factory: Callable,
-    sink_factory: Callable,
+    task: tuple[int, list[tuple[str, list]], Callable, Callable],
 ) -> tuple[int, float, list[KeyedStreamResult]]:
-    """Worker entry point: run every chain assigned to one shard, in order."""
+    """Run every chain of one ``(shard, jobs, operator_factory, sink_factory)`` task, in order."""
+    shard, jobs, operator_factory, sink_factory = task
     start = time.perf_counter()
     results = [
         _run_chain(key, shard, sources, operator_factory, sink_factory)
@@ -250,33 +236,20 @@ class ShardedPipeline:
         With ``n_workers`` greater than one, shards run on a process pool
         (shared-nothing: chains, operators and sinks are built from the
         factories inside the workers and shipped back with their final
-        state); otherwise shards run in-process, in shard order.  Results are
-        keyed by stream and bit-identical either way.
+        state, so factories and sources must be picklable); otherwise shards
+        run in-process, in shard order.  Results are keyed by stream and
+        bit-identical either way.
         """
-        if n_workers is not None and n_workers < 1:
-            raise ConfigurationError("n_workers must be a positive integer")
         jobs = self._keyed_jobs()
         assignments = self._shard_assignments(jobs)
         result = ShardedRunResult(n_shards=self.n_shards)
 
         wall_start = time.perf_counter()
-        if n_workers is None or n_workers == 1 or len(assignments) == 1:
-            shard_outcomes = [
-                _run_shard(shard, assignments[shard], self.operator_factory, self.sink_factory)
-                for shard in sorted(assignments)
-            ]
-        else:
-            self._check_picklable(assignments)
-            with ProcessPoolExecutor(max_workers=min(n_workers, len(assignments))) as pool:
-                shard_outcomes = list(
-                    pool.map(
-                        _run_shard,
-                        sorted(assignments),
-                        [assignments[shard] for shard in sorted(assignments)],
-                        [self.operator_factory] * len(assignments),
-                        [self.sink_factory] * len(assignments),
-                    )
-                )
+        shards = sorted(assignments.items())
+        factories = (self.operator_factory, self.sink_factory)
+        tasks = [(shard, chains, *factories) for shard, chains in shards]
+        names = [f"shard {shard} (streams {[k for k, _ in chains]})" for shard, chains in shards]
+        shard_outcomes = run_ordered(_run_shard, tasks, n_workers, names=names)
         by_key: dict[str, KeyedStreamResult] = {}
         for shard, seconds, chain_results in shard_outcomes:
             result.shard_seconds[shard] = seconds
@@ -286,18 +259,6 @@ class ShardedPipeline:
         result.results = {key: by_key[key] for key in jobs}
         result.wall_seconds = time.perf_counter() - wall_start
         return result
-
-    def _check_picklable(self, assignments: dict[int, list[tuple[str, list]]]) -> None:
-        """Reject factories/sources that cannot reach the worker processes."""
-        check_picklable(self.operator_factory, "operator_factory")
-        check_picklable(self.sink_factory, "sink_factory")
-        for shard_jobs in assignments.values():
-            for key, sources in shard_jobs:
-                check_picklable(
-                    sources,
-                    f"sources of stream {key!r}",
-                    remedy="materialise the stream (e.g. ArraySource) or run with n_workers=1",
-                )
 
 
 def _default_sink_factory(key: str) -> CollectSink:

@@ -1,8 +1,8 @@
 """Stream sinks: terminal consumers of a pipeline.
 
 The paper's Flink job outputs a stream of change points; :class:`ChangePointSink`
-collects exactly that, while :class:`CollectSink` and :class:`CallbackSink`
-cover generic use.
+collects exactly that (records carrying a :class:`repro.api.ChangePointEvent`),
+while :class:`CollectSink` and :class:`CallbackSink` cover generic use.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.streamengine.records import ChangePointEvent, Record, RecordBatch
+from repro.api import ChangePointEvent
+from repro.streamengine.records import Record, RecordBatch
 
 
 class CollectSink:
@@ -52,7 +53,7 @@ class ChangePointSink(CollectSink):
 
     @property
     def detection_delays(self) -> np.ndarray:
-        """Delay (observations) between each change point and its detection."""
+        """Observations between each change point and the detector position reporting it."""
         return np.asarray([r.value.detection_delay for r in self.records], dtype=np.int64)
 
 

@@ -8,12 +8,11 @@ behaves consistently.
 
 from __future__ import annotations
 
-import pickle
 from typing import Iterable
 
 import numpy as np
 
-from repro.utils.exceptions import ConfigurationError, ValidationError
+from repro.utils.exceptions import ValidationError
 
 
 def check_array_1d(
@@ -130,20 +129,3 @@ def check_change_points(
     if (np.diff(array) <= 0).any():
         raise ValidationError(f"{name} must be strictly increasing, got {array.tolist()}")
     return array
-
-
-def check_picklable(value, name: str, remedy: str = "run with n_workers=1") -> None:
-    """Reject a value that cannot cross a process boundary, with a remedy hint.
-
-    Shared by every parallel execution layer (the evaluation grid and the
-    sharded stream engine): anything dispatched to worker processes —
-    factories, sources, task specs — must survive ``pickle``.
-    """
-    try:
-        pickle.dumps(value)
-    except Exception as error:
-        raise ConfigurationError(
-            f"{name} is not picklable and cannot be dispatched to worker "
-            f"processes ({error}); use a module-level class or function "
-            f"instead of a closure/lambda, or {remedy}"
-        ) from error

@@ -1,18 +1,52 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from repro.api import ClaSSConfig, DataPolicy
 from repro.cli import build_parser, main
 from repro.datasets.loaders import save_dataset_csv
+
+#: ``segment`` flag destination -> (config class, field) it populates.
+SEGMENT_FLAG_FIELDS = {
+    "window_size": (ClaSSConfig, "window_size"),
+    "subsequence_width": (ClaSSConfig, "subsequence_width"),
+    "scoring_interval": (ClaSSConfig, "scoring_interval"),
+    "significance_level": (ClaSSConfig, "significance_level"),
+    "backend": (ClaSSConfig, "kernel_backend"),
+    "nan_policy": (DataPolicy, "nan_policy"),
+    "max_gap": (DataPolicy, "max_gap"),
+}
+
+#: Deliberate CLI overrides of a config default, with the reason.
+SEGMENT_DEFAULT_OVERRIDES = {
+    "scoring_interval": "scoring a tenth as often keeps interactive runs quick",
+}
+
+
+def _field_default(config_cls, name):
+    return {field.name: field.default for field in dataclasses.fields(config_cls)}[name]
 
 
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_segment_defaults_match_the_config_fields(self, capsys):
+        args = build_parser().parse_args(["segment"])
+        for dest, (config_cls, name) in SEGMENT_FLAG_FIELDS.items():
+            if dest not in SEGMENT_DEFAULT_OVERRIDES:
+                assert getattr(args, dest) == _field_default(config_cls, name), dest
+        # the one override differs from the config and says so in --help
+        assert args.scoring_interval == 10 != _field_default(ClaSSConfig, "scoring_interval")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["segment", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "(default 10, where ClaSSConfig and the paper use 1" in help_text
 
     def test_datasets_command(self, capsys):
         assert main(["datasets"]) == 0

@@ -1,10 +1,10 @@
 """Equivalence and accounting tests for the process-pool evaluation grid.
 
-The contract under test: ``evaluate_methods(..., n_workers=k)`` produces
+The contract under test: ``run_experiment(..., n_workers=k)`` produces
 records bit-identical to the sequential runner — same order, same change
 points, same Covering/F1 — for every worker count, with per-worker
-accounting attached; and the task specs it builds survive a pickle
-round-trip (the property the process pool relies on).
+accounting attached; and the method factories survive a pickle round-trip
+(the property the process pool relies on).
 """
 
 import pickle
@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_tssb_like
-from repro.evaluation import (
-    build_grid_tasks,
-    default_method_factories,
-    evaluate_methods,
-    run_experiment,
-    run_method_on_dataset,
-)
+from repro.evaluation import default_method_factories, run_experiment
 from repro.utils.exceptions import ConfigurationError
 
 WINDOW = 500
@@ -65,8 +59,11 @@ class TestGridEquivalence:
     def test_parallel_grid_matches_sequential(
         self, grid_methods, grid_suite, sequential_result, n_workers
     ):
-        parallel = evaluate_methods(grid_methods, grid_suite, n_workers=n_workers)
+        parallel = run_experiment(grid_methods, grid_suite, n_workers=n_workers)
         assert_records_identical(sequential_result, parallel)
+        # dataset-major order, as the sequential runner streams the grid
+        cells = [(record.dataset, record.method) for record in parallel.records]
+        assert cells == [(dataset.name, method) for dataset in grid_suite for method in METHODS]
 
     def test_run_experiment_n_workers_delegates_to_grid(
         self, grid_methods, grid_suite, sequential_result
@@ -76,20 +73,14 @@ class TestGridEquivalence:
         assert parallel.grid_stats is not None
 
     def test_single_worker_falls_back_to_sequential(self, grid_methods, grid_suite):
-        result = evaluate_methods(grid_methods, grid_suite, n_workers=1)
+        result = run_experiment(grid_methods, grid_suite, n_workers=1)
         assert result.grid_stats is None
         assert len(result.records) == len(grid_suite) * len(METHODS)
-
-    def test_explicit_chunksize_keeps_ordering(
-        self, grid_methods, grid_suite, sequential_result
-    ):
-        parallel = evaluate_methods(grid_methods, grid_suite, n_workers=2, chunksize=1)
-        assert_records_identical(sequential_result, parallel)
 
 
 class TestGridAccounting:
     def test_worker_stats_cover_every_task(self, grid_methods, grid_suite):
-        result = evaluate_methods(grid_methods, grid_suite, n_workers=2)
+        result = run_experiment(grid_methods, grid_suite, n_workers=2)
         stats = result.grid_stats
         assert stats.n_workers == 2
         assert stats.n_tasks == len(grid_suite) * len(METHODS)
@@ -106,46 +97,19 @@ class TestGridValidation:
     @pytest.mark.parametrize("n_workers", [0, -2])
     def test_non_positive_workers_rejected(self, grid_methods, grid_suite, n_workers):
         with pytest.raises(ConfigurationError, match="n_workers"):
-            evaluate_methods(grid_methods, grid_suite, n_workers=n_workers)
-        with pytest.raises(ConfigurationError, match="n_workers"):
             run_experiment(grid_methods, grid_suite, n_workers=n_workers)
-
-    def test_non_positive_chunksize_rejected(self, grid_methods, grid_suite):
-        with pytest.raises(ConfigurationError, match="chunksize"):
-            evaluate_methods(grid_methods, grid_suite, n_workers=2, chunksize=0)
 
     def test_empty_methods_rejected(self, grid_suite):
         with pytest.raises(ConfigurationError):
-            evaluate_methods({}, grid_suite, n_workers=2)
+            run_experiment({}, grid_suite, n_workers=2)
 
     def test_unpicklable_factory_rejected_by_name(self, grid_suite):
         methods = {"bad_method": lambda dataset: None}
         with pytest.raises(ConfigurationError, match="bad_method"):
-            evaluate_methods(methods, grid_suite, n_workers=2)
+            run_experiment(methods, grid_suite, n_workers=2)
 
 
 class TestTaskSpecPickling:
-    def test_grid_tasks_round_trip(self, grid_methods, grid_suite):
-        tasks = build_grid_tasks(grid_methods, grid_suite)
-        assert [task.index for task in tasks] == list(range(len(tasks)))
-        # dataset-major order, mirroring the sequential runner
-        assert tasks[0].dataset.name == tasks[1].dataset.name == grid_suite[0].name
-        restored = [pickle.loads(pickle.dumps(task)) for task in tasks]
-        for original, copy in zip(tasks, restored):
-            assert copy.index == original.index
-            assert copy.method == original.method
-            assert np.array_equal(copy.dataset.values, original.dataset.values)
-
-    def test_restored_task_streams_identically(self, grid_methods, grid_suite):
-        task = build_grid_tasks(grid_methods, grid_suite)[0]
-        restored = pickle.loads(pickle.dumps(task))
-        original_record = run_method_on_dataset(task.method, task.factory, task.dataset)
-        restored_record = run_method_on_dataset(restored.method, restored.factory, restored.dataset)
-        assert restored_record.covering == original_record.covering
-        assert np.array_equal(
-            restored_record.predicted_change_points, original_record.predicted_change_points
-        )
-
     def test_all_default_factories_picklable(self):
         for name, factory in default_method_factories().items():
             clone = pickle.loads(pickle.dumps(factory))

@@ -17,7 +17,7 @@ import pytest
 from repro import api
 from repro.datasets import SegmentSpec, compose_stream
 from repro.service import SegmentationService, ServiceClient
-from repro.streamengine.sharded import shard_for_key
+from repro.utils.parallel import shard_for_key
 
 N_SHARDS = 3
 CONFIG = {"window_size": 200, "scoring_interval": 5}

@@ -20,9 +20,9 @@ from repro.streamengine import (
     ShardedPipeline,
     run_class_pipeline,
     run_class_pipelines,
-    shard_for_key,
 )
 from repro.utils.exceptions import ConfigurationError
+from repro.utils.parallel import shard_for_key
 
 WINDOW = 500
 SCORING_INTERVAL = 30

@@ -5,6 +5,11 @@ file (torn write) is detected via the manifest's byte length / CRC and
 truncated by recovery — never silently served to a reader.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -64,6 +69,40 @@ class TestWriterReader:
         stored = store.ingest("s", data)
         chunk = next(stored.iter_chunks(100))
         assert chunk.base is not None  # a view into the segment map, not a copy
+
+    def test_chunks_kept_past_the_iteration_stay_readable(self, tmp_path):
+        # a view of a closed map would crash the reading process, so the
+        # check runs in a subprocess: a crash fails this test, not the suite
+        script = """
+import gc, sys
+import numpy as np
+from repro.storage import StreamStore
+
+values = np.arange(600_000, dtype=np.float64)
+stored = StreamStore(sys.argv[1], segment_rows=100_000, fsync=False).ingest("s", values)
+chunks = list(stored.iter_chunks(50_000))
+kept = [chunks[0], chunks[-1]]
+piece = chunks[5][10:20]
+del chunks
+gc.collect()
+assert kept[0].base is not None  # still zero-copy views
+assert np.array_equal(kept[0], values[:50_000])
+assert np.array_equal(kept[1], values[-50_000:])
+assert np.array_equal(piece, values[250_010:250_020])
+print("ok")
+"""
+        env = dict(os.environ)
+        repo_src = Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = f"{repo_src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, (result.returncode, result.stderr)
+        assert result.stdout.strip() == "ok"
 
     def test_multivariate_round_trip(self, store, rng):
         data = rng.normal(size=(2_300, 3))

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import api
+from repro.api import ChangePointEvent
 from repro.streamengine import (
     ArraySource,
     CallbackSink,
-    ChangePointEvent,
     ChangePointSink,
     ClaSSWindowOperator,
     CollectSink,
@@ -69,7 +70,11 @@ class TestOperators:
                     events.append(out.value)
         assert events
         assert any(abs(e.change_point - true_cp) < 200 for e in events)
-        assert all(e.detected_at >= e.change_point for e in events)
+        assert all(e.at >= e.change_point for e in events)
+
+    def test_segmentation_operator_rejects_non_segmenters(self):
+        with pytest.raises(TypeError, match="misses protocol members"):
+            SegmentationOperator(object())
 
 
 class TestSinks:
@@ -81,7 +86,7 @@ class TestSinks:
     def test_change_point_sink_ignores_plain_values(self):
         sink = ChangePointSink()
         sink.consume(Record(0, 1.0))
-        sink.consume(Record(5, ChangePointEvent(change_point=3, detected_at=5, stream="s")))
+        sink.consume(Record(4, ChangePointEvent(at=5, change_point=3), stream="s"))
         assert sink.change_points.tolist() == [3]
         assert sink.detection_delays.tolist() == [2]
 
@@ -137,3 +142,69 @@ class TestClaSSOperator:
             list(operator.process(Record(i, float(value))))
         assert operator.n_processed == small_dataset.n_timepoints
         assert isinstance(operator.change_points, np.ndarray)
+
+
+#: Competitor registry keys with configs sized for the mixed stream below.
+COMPETITORS = {
+    "floss": {"window_size": 600, "subsequence_width": 25},
+    "window": {"window_size": 250},
+    "bocd": {},
+    "change-finder": {},
+    "newma": {},
+    "adwin": {},
+    "ddm": {},
+    "hddm": {},
+}
+
+
+@pytest.fixture(scope="module")
+def mixed_stream():
+    """Shape and mean shifts, so every competitor reports change points."""
+    rng = np.random.default_rng(1234)
+    t = np.arange(1_000)
+    values = np.concatenate(
+        [
+            np.sin(2 * np.pi * t / 25),
+            4 + 2 * np.sign(np.sin(2 * np.pi * t / 60)),
+            1 + np.sin(2 * np.pi * t / 40),
+        ]
+    )
+    return values + rng.normal(0, 0.1, values.shape[0])
+
+
+def _run_operator(segmenter, values, batch_size):
+    operator = SegmentationOperator(segmenter)
+    sink = ChangePointSink()
+    source = ArraySource(values, stream="mixed", batch_size=batch_size)
+    Pipeline(source).add_operator(operator).add_sink(sink).run()
+    return sink.records
+
+
+class TestSegmentationOperatorEvents:
+    @pytest.mark.parametrize("key", sorted(COMPETITORS))
+    def test_batch_and_record_runs_emit_the_detector_events(self, key, mixed_stream):
+        reference = api.create(key, **COMPETITORS[key])
+        reference.process(mixed_stream)
+        expected = [event for event in reference.events() if event.kind == "change_point"]
+        assert expected
+
+        pointwise = _run_operator(api.create(key, **COMPETITORS[key]), mixed_stream, None)
+        batched = _run_operator(api.create(key, **COMPETITORS[key]), mixed_stream, 97)
+        for records in (pointwise, batched):
+            assert [record.value for record in records] == expected
+            # stamped with the observation that triggered the detection
+            assert [record.timestamp for record in records] == [e.at - 1 for e in expected]
+            assert {record.stream for record in records} == {"mixed"}
+
+    @pytest.mark.parametrize("batch_size", [None, 256])
+    def test_change_points_reported_at_finalize_reach_the_sink(
+        self, sine_square_stream, batch_size
+    ):
+        values, _ = sine_square_stream
+        segmenter = api.create("clasp")
+        records = _run_operator(segmenter, values, batch_size)
+        change_points = [record.value.change_point for record in records]
+        assert segmenter.change_points.size
+        assert change_points == segmenter.change_points.tolist()
+        assert {record.value.at for record in records} == {values.shape[0]}
+        assert {record.timestamp for record in records} == {values.shape[0] - 1}
