@@ -18,14 +18,17 @@ and point-wise ingestion report identical change points.
 
 A scoring pass does only the work its threshold requires: before scoring a
 region of at least :data:`PRUNE_MIN_SPLITS` splits, a cheap upper bound on
-its best score is checked against ``score_threshold``.  The bound
-(:func:`repro.core.scoring.split_score_bound`) reads counts at the edges of
-blocks of 16 splits off two histograms of the region's breakpoints, which
-ClaSS keeps from pass to pass (:class:`repro.core.scoring.BreakpointHistograms`)
-and updates only for the rows whose prediction threshold changed.  A pass
-that provably cannot reach the threshold reports nothing, exactly as its
-full profile would, and that profile is computed only if
-:attr:`ClaSS.last_profile` or :attr:`ClaSS.current_score` is read.
+the score of every block of 16 splits is checked against
+``score_threshold``.  The bound (:func:`repro.core.scoring.split_score_bound`)
+reads counts at the block edges off two histograms of the region's
+breakpoints, which ClaSS keeps from pass to pass
+(:class:`repro.core.scoring.BreakpointHistograms`) and updates only for the
+rows whose prediction threshold changed.  A pass none of whose blocks can
+reach the threshold reports nothing, exactly as its full profile would.  A
+pass whose bound reaches the threshold scores only the splits of the blocks
+that reach it, which hold the profile's best split whenever its score
+reaches the threshold.  The full profile of a gated pass is computed only
+if :attr:`ClaSS.last_profile` or :attr:`ClaSS.current_score` is read.
 
 Typical use::
 
@@ -89,13 +92,26 @@ PRUNE_MIN_SPLITS = 1_024
 PRUNE_MARGIN = 1e-9
 
 
-def _score_pruned_pass(kernels, score, thresholds, offset, exclusion, **placement) -> ClaSPProfile:
-    """The full profile of a pruned pass, from the thresholds its bound counted."""
+def _score_deferred_pass(
+    kernels, score, thresholds, offset, exclusion, **placement
+) -> ClaSPProfile:
+    """The full profile of a gated pass, from the thresholds the gate kept."""
     n_subsequences = thresholds.shape[0]
     splits = valid_splits(n_subsequences, exclusion)
     pred_zero_from = breakpoints_from_thresholds(thresholds, n_subsequences, offset)
     scores = kernels.fused_split_scores(pred_zero_from, splits, n_subsequences, score)
     return ClaSPProfile(scores=scores, splits=splits, **placement)
+
+
+def _splits_of_blocks(first_split: np.ndarray, last_split: np.ndarray) -> np.ndarray:
+    """The splits ``first_split[j] .. last_split[j]`` of every block ``j``, in order."""
+    lengths = last_split - first_split + 1
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(first_split - ends + lengths, lengths)
+
+
+#: The splits of a pruned pass.
+_NO_SPLITS = np.empty(0, dtype=np.int64)
 
 
 def capped_window_size(window_size: int, n_timepoints: int) -> int:
@@ -268,10 +284,10 @@ class ClaSS:
         self._width: int | None = self.subsequence_width
         self._n_seen = 0
         self._state = SegmentationState()
-        # a ClaSPProfile, or for a pruned pass a partial that computes it
+        # a ClaSPProfile, or for a gated pass a partial that computes it
         self._last_profile: ClaSPProfile | functools.partial | None = None
         self._warmup_end: int | None = None
-        # the pruning bound's histograms: derived from the k-NN, never saved
+        # the gate's histograms: derived from the k-NN, never saved
         self._histograms = BreakpointHistograms()
 
     # ------------------------------------------------------------------ #
@@ -302,8 +318,9 @@ class ClaSS:
     def last_profile(self) -> ClaSPProfile | None:
         """The ClaSP of the most recent scoring pass (None before the first scoring).
 
-        A pass pruned by the score-threshold bound is scored here, on the
-        first read, with the same kernel and the same result.
+        A pass the score-threshold gate pruned or scored only in part is
+        scored in full here, on the first read, with the same kernel and the
+        same result.
         """
         if isinstance(self._last_profile, functools.partial):
             self._last_profile = self._last_profile()
@@ -602,10 +619,12 @@ class ClaSS:
         """Score the unsegmented region and report a significant change point.
 
         Unless ``force`` is set, a region of at least
-        :data:`PRUNE_MIN_SPLITS` splits is first bounded: if no split can
-        reach ``score_threshold``, the pass reports nothing without scoring
-        and its profile is deferred to the first read of
-        :attr:`last_profile`.
+        :data:`PRUNE_MIN_SPLITS` splits goes through the gate
+        (:meth:`_gate`): if no split can reach ``score_threshold``, the pass
+        reports nothing without scoring; otherwise only the splits of the
+        blocks that can reach it are scored.  Either way its profile is
+        deferred to the first read of :attr:`last_profile`.  A forced pass
+        scores every split.
         """
         if self._knn is None or self._width is None:
             return None
@@ -629,21 +648,31 @@ class ClaSS:
         # incrementally, so scoring reads views of live ring buffers and
         # never materialises the (m, k) neighbour table.
         region = self._knn.region_view(region_start)
-        if not force and self._pruned(region, exclusion, placement):
+        splits = None if force else self._gate(region, exclusion, placement)
+        if splits is None:
+            result = cross_val_scores_from_thresholds(
+                region.thresholds,
+                exclusion=exclusion,
+                score=self.score,
+                offset=region.offset,
+                kernels=self._kernels,
+            )
+            profile = ClaSPProfile(scores=result.scores, splits=result.splits, **placement)
+            self._last_profile = profile
+            if profile.is_empty:
+                return None
+            split, score_value = profile.global_maximum()
+        elif splits.size:
+            # the splits of the blocks whose bound reaches the threshold hold
+            # every split of the profile's best score once that reaches it,
+            # so their first best is the profile's
+            m = region.thresholds.shape[0]
+            pred_zero_from = breakpoints_from_thresholds(region.thresholds, m, region.offset)
+            scores = self._kernels.fused_split_scores(pred_zero_from, splits, m, self.score)
+            best = int(scores.argmax())
+            split, score_value = int(splits[best]), float(scores[best])
+        else:
             return None
-        result = cross_val_scores_from_thresholds(
-            region.thresholds,
-            exclusion=exclusion,
-            score=self.score,
-            offset=region.offset,
-            kernels=self._kernels,
-        )
-        profile = ClaSPProfile(scores=result.scores, splits=result.splits, **placement)
-        self._last_profile = profile
-        if profile.is_empty:
-            return None
-
-        split, score_value = profile.global_maximum()
         if score_value < self.score_threshold:
             return None
         # reuse the cached thresholds: the significance gate's labels are one
@@ -653,7 +682,7 @@ class ClaSS:
         if not outcome.significant:
             return None
 
-        change_point = profile.to_absolute(split)
+        change_point = placement["window_start_time"] + region_start + split
         if self._state.reports and change_point <= self._state.reports[-1].change_point:
             return None
         report = ChangePointReport(
@@ -668,26 +697,28 @@ class ClaSS:
             self._relearn_width()
         return change_point
 
-    def _pruned(self, region, exclusion: int, placement: dict) -> bool:
-        """Whether the pass provably misses ``score_threshold``; if so, defer its profile.
+    def _gate(self, region, exclusion: int, placement: dict) -> np.ndarray | None:
+        """The splits the pass must score exactly; None if the pass is not bounded.
 
-        Only regions of at least :data:`PRUNE_MIN_SPLITS` splits are bounded.
-        The histograms are brought up to the region first, which also keeps
-        a copy of its thresholds: a pruned pass leaves in ``_last_profile`` a
-        partial that scores it from that copy on the first read of
-        :attr:`last_profile`.
+        Only regions of at least :data:`PRUNE_MIN_SPLITS` splits are
+        bounded.  The histograms are brought up to the region first, which
+        also keeps a copy of its thresholds, and bound it block by block: a
+        pass none of whose blocks reaches the threshold is pruned (no
+        splits), else the splits of the blocks that reach it are returned.
+        A gated pass leaves in ``_last_profile`` a partial that scores it in
+        full from that copy on the first read of :attr:`last_profile`.
         """
         m = region.thresholds.shape[0]
         low = max(1, exclusion)  # the first and last split of valid_splits
         high = m - low
         if high - low + 1 < PRUNE_MIN_SPLITS:
-            return False
+            return None
         thresholds = self._histograms.update(region.thresholds, region.offset)
-        bound = split_score_bound(*self._histograms.block_edges(low, high), m, self.score)
-        if bound >= self.score_threshold - PRUNE_MARGIN:
-            return False
+        edges = self._histograms.block_edges(low, high)
+        reach = split_score_bound(*edges, m, self.score) >= self.score_threshold - PRUNE_MARGIN
+        splits = _splits_of_blocks(edges[0][reach], edges[1][reach]) if reach.any() else _NO_SPLITS
         self._last_profile = functools.partial(
-            _score_pruned_pass,
+            _score_deferred_pass,
             self._kernels,
             self.score,
             thresholds,
@@ -695,7 +726,7 @@ class ClaSS:
             exclusion,
             **placement,
         )
-        return True
+        return splits
 
     def _relearn_width(self) -> None:
         """Re-learn ``w`` from the evolving segment and rebuild the k-NN (§3.4)."""

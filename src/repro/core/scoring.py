@@ -159,8 +159,8 @@ def split_score_bound(
     n00_last: np.ndarray,
     n_subsequences: int,
     score: str = "macro_f1",
-) -> float:
-    """Upper bound on the best score of blocks of splits, from counts at their edges.
+) -> np.ndarray:
+    """Upper bounds on the best score of blocks of splits, from counts at their edges.
 
     Block ``j`` holds the splits ``a = first_split[j] .. b = last_split[j]``;
     ``pred0_first[j]`` is at most ``pred0(a)``, while ``pred0_last[j]`` and
@@ -174,6 +174,8 @@ def split_score_bound(
     the edge counts off coarse histograms, so the bound costs a pass over
     the blocks instead of a full score profile.  It bounds the exact scores;
     callers compare it with a small margin for rounding.
+
+    Returns the bound of each block; their ``max()`` bounds every split.
     """
     m = int(n_subsequences)
     a, b = first_split, last_split
@@ -184,7 +186,7 @@ def split_score_bound(
     else:  # the class recalls n00 / s and n11 / (m - s)
         class0 = n00_last / a
         class1 = n11_hi / (m - b)
-    return 0.5 * float((np.minimum(class0, 1.0) + np.minimum(class1, 1.0)).max())
+    return 0.5 * (np.minimum(class0, 1.0) + np.minimum(class1, 1.0))
 
 
 class BreakpointHistograms:

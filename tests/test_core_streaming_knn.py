@@ -474,6 +474,62 @@ class TestSendAndBlocks:
         assert state_bytes(resumed) == state_bytes(reference)
 
 
+def snapshot(knn: StreamingKNN) -> tuple[int, np.ndarray, np.ndarray]:
+    """Global id of the first row, thresholds and neighbour ids (all global), copied."""
+    view = knn.region_view(0)
+    return view.offset, view.thresholds.copy(), view.knn_indices.copy()
+
+
+class TestThresholdsNeverFall:
+    """Pinned: a row's neighbours change only by taking in the newest subsequence.
+
+    The newest subsequence has the largest id yet and replaces a row's worst
+    neighbour, so a surviving row's prediction threshold (its rank-th
+    smallest neighbour id) never falls.  A pruning gate that skips the bound
+    while few thresholds move would rest on this.
+    """
+
+    @given(
+        backend=st.sampled_from(("numpy", "loops")),
+        mode=st.sampled_from(KNN_MODES),
+        k=st.integers(min_value=1, max_value=4),
+        kind=st.sampled_from(("noise", "quantised", "flat", "periodic")),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        schedule=st.one_of(
+            st.just([1]),  # point-wise
+            st.lists(st.integers(min_value=1, max_value=3 * BLOCK_ROWS), min_size=1, max_size=5),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_surviving_thresholds_never_fall(self, backend, mode, k, kind, seed, schedule):
+        # several window turnovers: evictions, buffer and table compactions
+        values = block_values(kind, 330, seed)
+        knn = StreamingKNN(
+            window_size=48, subsequence_width=4, k_neighbours=k, mode=mode, kernel_backend=backend
+        )
+        steps = knn.update_many(values)
+        next(steps)
+        offset, thresholds, neighbours = snapshot(knn)
+        advances = 0
+        while knn.n_seen < values.shape[0]:
+            steps.send(min(schedule[advances % len(schedule)], values.shape[0] - knn.n_seen))
+            advances += 1
+            newest = offset + thresholds.shape[0] - 1  # the largest id so far
+            next_offset, next_thresholds, next_neighbours = snapshot(knn)
+            assert next_offset >= offset  # rows leave from the front only
+            left = next_offset - offset
+            kept = max(0, thresholds.shape[0] - left)
+            assert next_offset + next_thresholds.shape[0] - 1 >= newest
+            assert np.all(next_thresholds[:kept] >= thresholds[left:])
+            # a surviving row's new neighbours are all newer than every earlier row
+            before, after = neighbours[left:], next_neighbours[:kept]
+            for row in np.flatnonzero((before != after).any(axis=1)):
+                taken = np.setdiff1d(after[row], before[row])
+                assert np.all(taken > newest)
+            offset, thresholds, neighbours = next_offset, next_thresholds, next_neighbours
+        assert knn.n_evicted > 2 * knn.n_subsequences  # the tables compacted
+
+
 class TestCheckpointBytes:
     """Checkpoints carry no uninitialised memory: equal runs, equal bytes."""
 

@@ -28,13 +28,14 @@ from repro.core.kernels import (
     available_backends,
     get_backend,
 )
+from repro.core.kernels.numpy_backend import LIST_PATCH_ROWS
 from repro.core.scoring import fused_split_scores
 from repro.core.similarity import (
     SIMILARITY_MEASURES,
     get_similarity_from_stats,
     pearson_from_dot_products,
 )
-from repro.core.streaming_knn import KNN_MODES, STD_FLOOR, StreamingKNN
+from repro.core.streaming_knn import KNN_MODES, PADDING_INDEX, STD_FLOOR, StreamingKNN
 from repro.utils.exceptions import ConfigurationError
 
 HAS_NUMBA = "numba" in available_backends()
@@ -209,23 +210,55 @@ class TestKernelLevelEquivalence:
                 values.copy(), rank
             )
 
-    @pytest.mark.parametrize("n_rows", [1, 2, 3, 24])
-    def test_insert_newest(self, rng, other, n_rows):
-        # n_rows spans both numpy code paths (scalar <=2 rows, vectorised)
+    @pytest.mark.parametrize("n_beaten", [1, LIST_PATCH_ROWS, LIST_PATCH_ROWS + 1, 24])
+    def test_insert_newest(self, rng, other, n_beaten):
+        # n_beaten straddles the numpy paths' cutoff (list patch, vectorised);
+        # three more rows are offered less than their worst and stay put
         reference = get_backend("numpy")
-        k = 4
+        k, n_rows = 4, n_beaten + 3
         sims = np.sort(rng.normal(size=(n_rows, k)), axis=1)[:, ::-1].copy()
         indices = rng.integers(0, 500, size=(n_rows, k)).astype(np.int64)
         worst = sims[:, -1].copy()
         thresholds = np.partition(indices, 1, axis=1)[:, 1].copy()
-        candidates = rng.normal(size=n_rows)
-        candidates[0] = sims[0, -1] + 1.0  # force at least one beaten row
+        candidates = worst + rng.uniform(0.01, 3.0, size=n_rows)
+        candidates[n_beaten:] = worst[n_beaten:] - 1.0
         ref_state = (indices.copy(), sims.copy(), worst.copy(), thresholds.copy())
         other_state = (indices.copy(), sims.copy(), worst.copy(), thresholds.copy())
         reference.insert_newest(*ref_state, candidates, 999, 1)
         other.insert_newest(*other_state, candidates, 999, 1)
         for left, right in zip(ref_state, other_state):
             np.testing.assert_array_equal(left, right)
+        assert (ref_state[0] == 999).sum() == n_beaten
+        np.testing.assert_array_equal(ref_state[0][n_beaten:], indices[n_beaten:])
+
+    @pytest.mark.parametrize("n_copies", [1, LIST_PATCH_ROWS + 1])
+    def test_insert_newest_ties_and_padding(self, other, n_copies):
+        # on both numpy paths: an offer equal to a stored similarity goes
+        # before it, one equal to the worst is not taken, and a padded row
+        # (PADDING_INDEX / -inf) fills from the front
+        pad = PADDING_INDEX
+        sims = np.array([[0.9, 0.5, 0.2], [0.9, 0.5, 0.2], [0.7, -np.inf, -np.inf], [-np.inf] * 3])
+        indices = np.array([[10, 11, 12], [20, 21, 22], [30, pad, pad], [pad, pad, pad]])
+        candidates = np.array([0.5, 0.2, 0.7, -5.0])
+        expected_sims = np.array(
+            [[0.9, 0.5, 0.5], [0.9, 0.5, 0.2], [0.7, 0.7, -np.inf], [-5.0, -np.inf, -np.inf]]
+        )
+        expected_idx = np.array([[10, 99, 11], [20, 21, 22], [99, 30, pad], [99, pad, pad]])
+        sims, indices = np.tile(sims, (n_copies, 1)), np.tile(indices, (n_copies, 1))
+        candidates = np.tile(candidates, n_copies)
+        worst = sims[:, -1].copy()
+        thresholds = np.partition(indices, 1, axis=1)[:, 1].copy()
+        states = []
+        for backend in (get_backend("numpy"), other):
+            state = (indices.copy(), sims.copy(), worst.copy(), thresholds.copy())
+            backend.insert_newest(*state, candidates, 99, 1)
+            states.append(state)
+        for left, right in zip(*states):
+            np.testing.assert_array_equal(left, right)
+        np.testing.assert_array_equal(states[0][0], np.tile(expected_idx, (n_copies, 1)))
+        np.testing.assert_array_equal(states[0][1], np.tile(expected_sims, (n_copies, 1)))
+        np.testing.assert_array_equal(states[0][2], states[0][1][:, -1])
+        np.testing.assert_array_equal(states[0][3], np.sort(states[0][0], axis=1)[:, 1])
 
     @pytest.mark.parametrize("score", ["macro_f1", "accuracy"])
     def test_fused_split_scores(self, rng, other, score):

@@ -12,10 +12,10 @@ Four pillars, mirroring the contract of the scoring path:
 * every ClaSS scoring pass, across k-NN modes and scoring intervals, equals
   the reference cross-validations evaluated on the scored region's k-NN
   table, and so do the significance gate's labels;
-* every scoring pass pruned by the score-threshold bound is one whose full
-  profile cannot reach the threshold, and its lazily built profile equals
-  that full profile; the bound's histograms, updated from pass to pass,
-  always equal a fresh count of the scored region.
+* every scoring pass the score-threshold gate prunes or scores only in
+  part equals, in what it reports and in its lazily built profile, the full
+  pass it replaced; the bound's histograms, updated pass to pass, always
+  equal a fresh count of the scored region.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from repro.core.cross_val import (
     predictions_for_split,
     valid_splits,
 )
-from repro.core.kernels import available_backends
+from repro.core.kernels import available_backends, get_backend
+from repro.core.profile import ClaSPProfile
 from repro.core.scoring import (
     BOUND_BLOCK,
     BreakpointHistograms,
@@ -51,6 +52,7 @@ from repro.core.scoring import (
     fused_split_scores,
     split_score_bound,
 )
+from repro.core.significance import ChangePointSignificanceTest
 from repro.core.streaming_knn import PADDING_INDEX, StreamingKNN
 from repro.utils.exceptions import ConfigurationError
 
@@ -233,9 +235,13 @@ class TestFusedKernelEquivalence:
         histograms = BreakpointHistograms()
         histograms.update(thresholds, offset)
         edges = histograms.block_edges(int(splits[0]), int(splits[-1]))
-        assert split_score_bound(*edges, m, score) >= best - 1e-12
+        bounds = split_score_bound(*edges, m, score)
+        assert bounds.max() >= best - 1e-12
         # the blocks tile the splits, and their edge counts bound the exact ones
         first_split, last_split, pred0_first, pred0_last, n00_last = edges
+        scores = fused_split_scores(pred_zero_from, splits, m, score)
+        for bound, first, last in zip(bounds, first_split, last_split):
+            assert bound >= scores[first - splits[0] : last - splits[0] + 1].max() - 1e-12
         np.testing.assert_array_equal(first_split[1:], last_split[:-1] + 1)
         assert (first_split[0], last_split[-1]) == (splits[0], splits[-1])
         assert np.all(last_split - first_split < BOUND_BLOCK)
@@ -344,44 +350,109 @@ class TestChangePointIdentity:
 # --------------------------------------------------------------------------- #
 
 
-@contextlib.contextmanager
-def audited_pruning():
-    """Check every pruned ClaSS pass against the full pass it skipped.
+def counted_afresh(thresholds, offset, origin, n_bins):
+    """Both histograms of a region by definition: threshold and max(threshold, id) per bin."""
+    ids = offset + np.arange(thresholds.shape[0])
+    values = np.stack([thresholds, np.maximum(thresholds, ids)])
+    bins = np.clip(values // BOUND_BLOCK - origin, 0, n_bins - 1)
+    return np.stack([np.bincount(row, minlength=n_bins) for row in bins])
 
-    Yields the list of the audited passes' split counts.  For each pruned
-    pass the full profile is computed on the spot: its best score must lie
-    below the threshold, and the lazily built ``last_profile`` must equal it.
+
+@contextlib.contextmanager
+def audited_gate():
+    """Check every gated ClaSS pass against the full pass of its region.
+
+    The gate must bound exactly the regions of at least ``PRUNE_MIN_SPLITS``
+    splits.  After it bounded one, the maintained histograms must equal a
+    fresh count of the region (with the bins of every bounded block above
+    the shared first bin), the kept copy must equal the region's thresholds
+    and the bound must be at least the region's exact best score.  The pass
+    must be pruned exactly when no block's bound reaches the gate's limit,
+    and otherwise score the splits of the blocks whose bound reaches it,
+    which hold every split whose exact score does.
+
+    After the pass its lazily built ``last_profile`` must equal the full
+    profile, computed once per gated pass before anything is reported.  A
+    pruned pass must have a best score below the threshold and test and
+    report nothing.  A localised pass must test the full profile's best
+    split, and report it with its score, whenever that score reaches the
+    threshold, and test nothing otherwise.  Yields a dict from pass kind
+    (``"pruned"``, ``"localised"``) to the ``(bound, best)`` pairs of its
+    passes.
     """
-    audited: list[int] = []
-    maybe_score = ClaSS._maybe_score
+    audited: dict[str, list[tuple[float, float]]] = collections.defaultdict(list)
+    maybe_score, gate = ClaSS._maybe_score, ClaSS._gate
+    significance_test = ChangePointSignificanceTest.test
+    gated: list[tuple] = []  # the gated pass of the running _maybe_score
+    tested: list[int] = []
+
+    def checked_gate(self, region, exclusion, placement):
+        splits = gate(self, region, exclusion, placement)
+        m = region.thresholds.shape[0]
+        assert (splits is None) == (valid_splits(m, exclusion).size < PRUNE_MIN_SPLITS)
+        if splits is None:
+            return splits
+        histograms = self._histograms
+        np.testing.assert_array_equal(histograms.thresholds, region.thresholds)
+        assert histograms.offset == region.offset
+        assert histograms.origin < region.offset // BOUND_BLOCK
+        expected = counted_afresh(
+            region.thresholds, region.offset, histograms.origin, histograms.counts.shape[1]
+        )
+        np.testing.assert_array_equal(histograms.counts, expected)
+        low = max(1, exclusion)
+        edges = histograms.block_edges(low, m - low)
+        bounds = split_score_bound(*edges, m, self.score)
+        full = cross_val_scores_from_thresholds(
+            region.thresholds, exclusion, self.score, region.offset, self._kernels
+        )
+        assert bounds.max() >= full.scores.max() - 1e-12
+        limit = self.score_threshold - class_segmenter.PRUNE_MARGIN
+        reach = bounds >= limit
+        within = [np.arange(a, b + 1) for a, b in zip(edges[0][reach], edges[1][reach])]
+        np.testing.assert_array_equal(splits, np.concatenate(within or [splits]))
+        assert np.isin(full.splits[full.scores >= limit], splits).all()
+        kind = "localised" if splits.size else "pruned"
+        region_start = self._state.last_change_point_offset
+        window_start = self.n_seen - self._knn.n_buffered
+        gated.append((kind, full, (region_start, window_start), float(bounds.max())))
+        return splits
+
+    def recording_test(self, y_pred, split):
+        tested.append(int(split))
+        return significance_test(self, y_pred, split)
 
     def audited_maybe_score(self, force=False):
-        before = self._last_profile
+        gated.clear()
+        tested.clear()
+        reports = len(self._state.reports)
         change_point = maybe_score(self, force)
-        deferred = self._last_profile
-        if isinstance(deferred, functools.partial) and deferred is not before:
-            assert change_point is None and not force
-            region_start = self._state.last_change_point_offset
-            region = self._knn.region_view(region_start)
-            full = cross_val_scores_from_thresholds(
-                region.thresholds,
-                exclusion=self.excl_factor * self._width,
-                score=self.score,
-                offset=region.offset,
-                kernels=self._kernels,
-            )
-            assert full.scores.max() < self.score_threshold
-            lazy = self.last_profile
-            np.testing.assert_array_equal(lazy.scores, full.scores)
-            np.testing.assert_array_equal(lazy.splits, full.splits)
-            assert lazy.region_start == region_start
-            assert lazy.window_start_time == self.n_seen - self._knn.n_buffered
-            assert self.current_score == full.scores.max()
-            audited.append(int(full.splits.size))
+        if not gated:
+            return change_point
+        ((kind, full, placement, bound),) = gated
+        lazy = self.last_profile
+        np.testing.assert_array_equal(lazy.scores, full.scores)
+        np.testing.assert_array_equal(lazy.splits, full.splits)
+        assert (lazy.region_start, lazy.window_start_time) == placement
+        best_split, best = ClaSPProfile(full.scores, full.splits).global_maximum()
+        assert self.current_score == best
+        if kind == "localised" and best >= self.score_threshold:
+            assert tested == [best_split]
+            if change_point is not None:
+                report = self._state.reports[-1]
+                assert report.score == best
+                assert report.change_point == placement[1] + placement[0] + best_split
+        else:
+            assert best < self.score_threshold
+            assert not tested and change_point is None
+            assert len(self._state.reports) == reports
+        audited[kind].append((bound, float(best)))
         return change_point
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ClaSS, "_maybe_score", audited_maybe_score)
+        patch.setattr(ClaSS, "_gate", checked_gate)
+        patch.setattr(ChangePointSignificanceTest, "test", recording_test)
         yield audited
 
 
@@ -466,7 +537,7 @@ class TestThresholdPruning:
         config["score_threshold"] = min(max(threshold, 0.0), 1.0)
         with pruning_disabled():
             expected = run_in_chunks(ClaSS(**config), values, chunk_size)
-        with audited_pruning():
+        with audited_gate():
             assert run_in_chunks(ClaSS(**config), values, chunk_size) == expected
 
     def test_gate_prunes_only_long_regions(self):
@@ -478,23 +549,45 @@ class TestThresholdPruning:
             passes.append(int(result.splits.size))
             return result
 
-        with audited_pruning() as audited, pytest.MonkeyPatch.context() as patch:
+        with audited_gate() as audited, pytest.MonkeyPatch.context() as patch:
             patch.setattr(class_segmenter, "cross_val_scores_from_thresholds", counting)
             segmenter = ClaSS(**PRUNE_WINDOW, score_threshold=0.97)
             segmenter.process(values)
-        assert audited and min(audited) >= PRUNE_MIN_SPLITS
-        # scored in full on both sides of the gate
-        assert min(passes) < PRUNE_MIN_SPLITS <= max(passes)
+        assert audited["pruned"] and audited["localised"]
+        # only the short regions are scored in full
+        assert passes and max(passes) < PRUNE_MIN_SPLITS
+
+    def test_tied_scores_report_the_first_best_split(self):
+        # scores floored to sixteenths tie often at the top, and a floor
+        # keeps the bound above every score
+        values = two_regime_stream(np.random.default_rng(11), half=1_500)
+        backend = get_backend("numpy")
+        fused = backend.fused_split_scores
+        tied = []
+
+        def coarse(pred_zero_from, splits, n_subsequences, score="macro_f1"):
+            scores = np.floor(fused(pred_zero_from, splits, n_subsequences, score) * 16) / 16
+            top = scores.max(initial=0.0)
+            tied.append(top >= 0.75 and np.count_nonzero(scores == top) > 1)
+            return scores
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(type(backend), "fused_split_scores", staticmethod(coarse))
+            with pruning_disabled():
+                expected = run_in_chunks(ClaSS(**PRUNE_WINDOW), values, 256)
+            with audited_gate() as audited:
+                assert run_in_chunks(ClaSS(**PRUNE_WINDOW), values, 256) == expected
+        assert audited["localised"] and any(tied) and expected[0]
 
     def test_relearn_width_mid_chunk(self):
         values = two_regime_stream(np.random.default_rng(5), half=1_500)
         config = dict(PRUNE_WINDOW, scoring_interval=3, relearn_width=True)
         with pruning_disabled():
             expected = run_in_chunks(ClaSS(**config), values, 1_024)
-        with audited_pruning() as audited:
+        with audited_gate() as audited:
             segmenter = ClaSS(**config)
             assert run_in_chunks(segmenter, values, 1_024) == expected
-        assert audited and expected[0]  # pruned passes and a change point
+        assert audited["pruned"] and audited["localised"] and expected[0]  # and a change point
         assert segmenter.subsequence_width_ != PRUNE_WINDOW["subsequence_width"]
 
     def test_checkpoint_resume_mid_chunk(self):
@@ -506,9 +599,9 @@ class TestThresholdPruning:
         first.process(values[:1_700])  # 1,024 + 676: the cut is mid-chunk
         resumed = ClaSS()
         resumed.load_state(pickle.loads(pickle.dumps(first.save_state())))
-        with audited_pruning() as audited:
+        with audited_gate() as audited:
             resumed.process(values[1_700:])
-        assert audited
+        assert audited["pruned"]
         reports = [(r.change_point, r.detected_at, r.score, r.p_value) for r in resumed.reports]
         assert reports == expected[0]
         assert resumed.current_score == uninterrupted.current_score
@@ -527,9 +620,9 @@ class TestThresholdPruning:
         candidate.load_state(payload)
         assert candidate._kernels.name == backend
         reference.process(values[1_300:])
-        with audited_pruning() as audited:
+        with audited_gate() as audited:
             candidate.process(values[1_300:])
-        assert audited
+        assert audited["pruned"]
         np.testing.assert_array_equal(candidate.last_profile.scores, reference.last_profile.scores)
         assert candidate.reports == reference.reports
 
@@ -540,68 +633,21 @@ class TestThresholdPruning:
         assert isinstance(segmenter._last_profile, functools.partial)
         clone = pickle.loads(pickle.dumps(segmenter))  # the parallel ensemble ships these
         np.testing.assert_array_equal(clone.last_profile.scores, segmenter.last_profile.scores)
-        # score_now always runs the full pass
+        # score_now always runs the full pass, even past a gate that prunes all
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(class_segmenter, "split_score_bound", lambda *a: 0.0)
+            patch.setattr(ClaSS, "_gate", lambda *a: np.empty(0, dtype=np.int64))
             profile = segmenter.score_now()
         assert not isinstance(segmenter._last_profile, functools.partial)
         np.testing.assert_array_equal(profile.scores, clone.last_profile.scores)
-
-
-def counted_afresh(thresholds, offset, origin, n_bins):
-    """Both histograms of a region by definition: threshold and max(threshold, id) per bin."""
-    ids = offset + np.arange(thresholds.shape[0])
-    values = np.stack([thresholds, np.maximum(thresholds, ids)])
-    bins = np.clip(values // BOUND_BLOCK - origin, 0, n_bins - 1)
-    return np.stack([np.bincount(row, minlength=n_bins) for row in bins])
-
-
-@contextlib.contextmanager
-def checked_histograms():
-    """Check the gate's state after every bounded ClaSS pass.
-
-    The maintained histograms must equal a fresh count of the scored region
-    (with the bins of every bounded block above the shared first bin), the
-    kept copy must equal the region's thresholds, and the bound must be at
-    least the pass's exact best score.  Yields the list of ``(bound, best)``
-    pairs of the checked passes.
-    """
-    checked: list[tuple[float, float]] = []
-    pruned = ClaSS._pruned
-
-    def checked_pruned(self, region, exclusion, placement):
-        before = self._histograms.thresholds
-        result = pruned(self, region, exclusion, placement)
-        histograms = self._histograms
-        if histograms.thresholds is before:  # not bounded: region too short
-            return result
-        m = region.thresholds.shape[0]
-        np.testing.assert_array_equal(histograms.thresholds, region.thresholds)
-        assert histograms.offset == region.offset
-        assert histograms.origin < region.offset // BOUND_BLOCK
-        expected = counted_afresh(
-            region.thresholds, region.offset, histograms.origin, histograms.counts.shape[1]
-        )
-        np.testing.assert_array_equal(histograms.counts, expected)
-        low = max(1, exclusion)
-        bound = split_score_bound(*histograms.block_edges(low, m - low), m, self.score)
-        best = cross_val_scores_from_thresholds(
-            region.thresholds, exclusion, self.score, region.offset
-        ).scores.max()
-        assert bound >= best - 1e-12
-        assert result == (bound < self.score_threshold - class_segmenter.PRUNE_MARGIN)
-        checked.append((bound, float(best)))
-        return result
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ClaSS, "_pruned", checked_pruned)
-        yield checked
 
 
 class TestBreakpointHistograms:
     """Pinned: the bound's histograms, updated pass to pass, equal a fresh count."""
 
     @given(
+        score=st.sampled_from(["macro_f1", "accuracy"]),
+        # a high threshold prunes most passes, the default localises more
+        score_threshold=st.sampled_from([0.75, 0.97]),
         chunk_size=st.sampled_from([1, 7, 256, 1_024]),
         scoring_interval=st.sampled_from([1, 3, 8]),
         relearn_width=st.booleans(),
@@ -609,20 +655,34 @@ class TestBreakpointHistograms:
         restore_at=st.sampled_from([None, 1_700, 2_900]),
         seed=st.integers(min_value=0, max_value=10_000),
     )
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=12, deadline=None)
     def test_histograms_equal_a_fresh_count_after_every_bounded_pass(
-        self, chunk_size, scoring_interval, relearn_width, gap_reset, restore_at, seed
+        self,
+        score,
+        score_threshold,
+        chunk_size,
+        scoring_interval,
+        relearn_width,
+        gap_reset,
+        restore_at,
+        seed,
     ):
         # long enough for bounded passes before and after the change point
         # and after a re-warm-up
         values = two_regime_stream(np.random.default_rng(seed), half=2_250)
-        config = dict(PRUNE_WINDOW, scoring_interval=scoring_interval, relearn_width=relearn_width)
+        config = dict(
+            PRUNE_WINDOW,
+            score=score,
+            score_threshold=score_threshold,
+            scoring_interval=scoring_interval,
+            relearn_width=relearn_width,
+        )
         if gap_reset:
             # an outage longer than max_gap: the policy layer calls reset_warmup
             values[2_600:2_640] = np.nan
             policy = {"nan_policy": "hold-last", "max_gap": 25, "reset_on_gap": True}
             config["data_policy"] = policy
-        with checked_histograms() as checked:
+        with audited_gate() as audited:
             segmenter = api.create("class", config)
             if restore_at is None:
                 segmenter.process(values, chunk_size=chunk_size)
@@ -632,8 +692,9 @@ class TestBreakpointHistograms:
                 segmenter = api.create("class", config)
                 segmenter.load_state(payload)  # the histograms restart empty
                 segmenter.process(values[restore_at:], chunk_size=chunk_size)
-        assert checked
-        assert any(bound < best + 0.2 for bound, best in checked)  # the bound is tight
+        assert audited["pruned"]
+        bounded = audited["pruned"] + audited["localised"]
+        assert any(bound < best + 0.2 for bound, best in bounded)  # the bound is tight
 
     def test_histograms_are_derived_state(self):
         values = two_regime_stream(np.random.default_rng(3), half=1_500)
@@ -649,8 +710,8 @@ class TestBreakpointHistograms:
         restored = ClaSS()
         restored.load_state(payload)
         assert restored._histograms.thresholds is None
-        with checked_histograms() as checked:
+        with audited_gate() as audited:
             clone.process(values[2_600:])
             restored.process(values[2_600:])
-        assert checked
+        assert audited["pruned"]
         assert clone.reports == restored.reports
