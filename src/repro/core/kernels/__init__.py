@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.kernels import _loops, numpy_backend
 from repro.core.scoring import fused_split_scores as _numpy_fused_split_scores
-from repro.core.similarity import SIMILARITY_MEASURES, get_similarity
+from repro.core.similarity import SIMILARITY_MEASURES, get_similarity_from_stats
 from repro.utils.exceptions import ConfigurationError
 
 #: Names accepted by :func:`get_backend` (and by every ``kernel_backend``
@@ -60,7 +60,10 @@ class KernelBackend:
     kernels are JIT-compiled.  Kernels operating on the k-NN tables mutate
     the passed views in place; ``similarity_kernel`` resolves the measure
     string once and returns the specialised profile function, so the
-    per-point path never re-dispatches on strings.
+    per-point path never re-dispatches on strings.  That function takes the
+    arguments of :func:`repro.core.similarity.get_similarity_from_stats`'s
+    rows: ``(dots, w_means, w_stds, query_mean, query_std, w, comps,
+    query_comp, floored=False)``, the statistics scaled by the width.
     """
 
     name: str = "abstract"
@@ -106,7 +109,7 @@ class NumpyKernels(KernelBackend):
     insert_newest = staticmethod(numpy_backend.insert_newest)
 
     def similarity_kernel(self, measure: str) -> Callable[..., np.ndarray]:
-        return get_similarity(measure)
+        return get_similarity_from_stats(measure)
 
     def fused_split_scores(self, pred_zero_from, splits, n_subsequences, score="macro_f1"):
         return _numpy_fused_split_scores(pred_zero_from, splits, n_subsequences, score)
@@ -134,16 +137,19 @@ class LoopKernels(KernelBackend):
     def similarity_kernel(self, measure: str) -> Callable[..., np.ndarray]:
         if measure not in MEASURE_CODES:
             # reuse the canonical error message (single copy, in similarity)
-            get_similarity(measure)
+            get_similarity_from_stats(measure)
         code = MEASURE_CODES[measure]
         impl = self._impl.similarity_profile
 
-        def profile(dot_products, means, stds, query_index, window_size, complexities=None):
-            if complexities is None:
+        # the loop tests each denominator itself: there is no scan to skip
+        def profile(
+            dots, w_means, w_stds, query_mean, query_std, w, comps, query_comp, floored=False
+        ):
+            if comps is None:
                 if code == _loops.CID:
                     raise ConfigurationError("CID similarity requires subsequence complexities")
-                complexities = _EMPTY_COMPLEXITIES
-            return impl(code, dot_products, means, stds, query_index, window_size, complexities)
+                comps, query_comp = _EMPTY_COMPLEXITIES, 0.0
+            return impl(code, dots, w_means, w_stds, query_mean, query_std, w, comps, query_comp)
 
         profile.__name__ = f"{measure}_profile_{self.name}"
         return profile

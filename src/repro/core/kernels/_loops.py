@@ -55,29 +55,37 @@ def extend_shrink(partial, extend_values, newest, shrink_values, oldest, q_out):
 
 
 def similarity_profile(
-    measure_code, dot_products, means, stds, query_index, window_size, complexities
+    measure_code,
+    dot_products,
+    w_means,
+    w_stds,
+    query_mean,
+    query_std,
+    window_size,
+    complexities,
+    query_complexity,
 ):
     """Similarity of every subsequence to the query, selected by measure code.
 
-    Mirrors :func:`repro.core.similarity.similarity_profile` expression by
-    expression (numerator/denominator association, clipping, distance floor,
-    complexity floor) so the result is bit-identical to the numpy reference.
-    ``complexities`` is only read for the CID code; callers pass an empty
-    array for the other measures.
+    Mirrors :func:`repro.core.similarity.get_similarity_from_stats`
+    expression by expression (numerator/denominator association, clipping,
+    distance floor, complexity floor) so the result is bit-identical to the
+    numpy reference.  ``w_means`` and ``w_stds`` are the per-offset means
+    and stds scaled by the width, ``query_mean`` and ``query_std`` the
+    query's own.  ``complexities`` and ``query_complexity`` are only read
+    for the CID code; callers pass an empty array and 0.0 for the others.
     """
     m = dot_products.shape[0]
     out = np.empty(m, dtype=np.float64)
     w = float(window_size)
-    query_mean = means[query_index]
-    query_std = stds[query_index]
     ce_query = 0.0
     if measure_code == CID:
-        ce_query = complexities[query_index]
+        ce_query = query_complexity
         if ce_query < _STD_FLOOR_CE:
             ce_query = _STD_FLOOR_CE
     for i in range(m):
-        numerator = dot_products[i] - w * means[i] * query_mean
-        denominator = w * stds[i] * query_std
+        numerator = dot_products[i] - w_means[i] * query_mean
+        denominator = w_stds[i] * query_std
         if denominator > 0.0:
             corr = numerator / denominator
         else:

@@ -175,22 +175,27 @@ def split_score_bound(
     the blocks instead of a full score profile.  It bounds the exact scores;
     callers compare it with a small margin for rounding.
 
+    The counts are integers, exact as float64 (as the histograms keep them)
+    or given as ints.  Each class term is evaluated halved, ``min(n00 / d0,
+    0.5) + min(n11 / d1, 0.5)``: halving is exact, so this equals ``0.5 *
+    (min(2·n00 / d0, 1) + min(2·n11 / d1, 1))`` bit for bit.
+
     Returns the bound of each block; their ``max()`` bounds every split.
     """
     m = int(n_subsequences)
     a, b = first_split, last_split
     n11_hi = (m - a) - pred0_first + n00_last
     if score == "macro_f1":
-        class0 = 2.0 * n00_last / (pred0_first + a)
-        class1 = 2.0 * n11_hi / ((m - pred0_last) + (m - b))
+        half0 = n00_last / (pred0_first + a)
+        half1 = n11_hi / ((m - pred0_last) + (m - b))
     else:  # the class recalls n00 / s and n11 / (m - s)
-        class0 = n00_last / a
-        class1 = n11_hi / (m - b)
-    return 0.5 * (np.minimum(class0, 1.0) + np.minimum(class1, 1.0))
+        half0 = n00_last / (2 * a)
+        half1 = n11_hi / (2 * (m - b))
+    return np.minimum(half0, 0.5) + np.minimum(half1, 0.5)
 
 
 class BreakpointHistograms:
-    """Counts of a scored region's breakpoints in blocks of ids, kept between passes.
+    """Prefix sums of a scored region's breakpoints in blocks of ids, kept between passes.
 
     A region of ``m`` subsequences with global ids ``offset .. offset + m -
     1`` and prediction thresholds ``t`` (global ids too) has, at split
@@ -198,27 +203,35 @@ class BreakpointHistograms:
     #{max(t, id) <= offset + s - 1}``: the counts of
     :func:`confusion_prefix_counts` in global coordinates.  Two histograms
     count ``t`` and ``max(t, id)`` in bins of :data:`BOUND_BLOCK` global
-    ids, so every block of splits whose cut ``offset + s - 1`` falls in one
-    bin reads its edge counts for :func:`split_score_bound` off prefix sums
-    of the bins.  A value below the first bin (``origin``) is counted in the
-    first bin, one above the last bin in the last.
+    ids, and :attr:`prefix` keeps them as prefix sums: ``prefix[:, i]``
+    counts the values in bins up to ``origin + i``.  A value below the
+    first bin (``origin``) is counted in the first bin, one above the last
+    bin in the last.  Every block of splits whose cut ``offset + s - 1``
+    falls in one bin reads its edge counts for :func:`split_score_bound`
+    straight off the prefix sums.  They are float64, which holds the
+    integer counts exactly, so the bound never casts them.
 
     :meth:`update` compares the region's live thresholds with its copy from
     the last update and moves only the rows whose threshold changed, that
     joined the region or that left it; only a few move per scoring pass, as
-    the newest subsequence beats a handful of rows.  A region that jumped
-    (a change point), lost its overlap with the copy or outgrew the bins is
-    counted afresh.  The instance holds derived state only: :meth:`reset`
-    it whenever the subsequence ids restart (a new k-NN).
+    the newest subsequence beats a handful of rows.  A row moving from bin
+    ``p`` to bin ``q > p`` leaves the prefix sums ``p .. q - 1`` (one less
+    each), one moving down enters them, and one staying in its bin changes
+    nothing; a row that joined adds 1 to every sum from its bin on, one that
+    left subtracts it.  A region that jumped (a change point), lost its
+    overlap with the copy or outgrew the bins is counted afresh.  The
+    instance holds derived state only: :meth:`reset` it whenever the
+    subsequence ids restart (a new k-NN).
     """
 
     #: Most moved rows updated one by one; more are counted afresh.  On a
     #: 2-vCPU Xeon VM at the paper's full region (m=9,976) an update that
-    #: moves rows costs ~14 µs plus ~2.7 µs per changed row, against ~85 µs
-    #: for a recount: they meet near 30 rows.  Smaller regions recount
-    #: faster (m=1,024: ~23 µs, crossover near 6 rows), but at the paper's
-    #: defaults a pass moves a median of 2 rows and 95% move at most 9.
-    MAX_MOVES = 32
+    #: moves rows costs ~16 µs plus ~3.6 µs per row that changed (one or two
+    #: prefix-sum slices each), against ~78 µs for a recount: they meet near
+    #: 17 rows.  Smaller regions recount faster (m=1,024: ~20 µs, crossover
+    #: near 3 rows), but at the paper's defaults a pass moves a median of 2
+    #: changed rows and 95% move at most 9, beside the one that joined.
+    MAX_MOVES = 16
 
     def __init__(self) -> None:
         self.reset()
@@ -228,7 +241,7 @@ class BreakpointHistograms:
         self.thresholds: np.ndarray | None = None
         self.offset = 0
         self.origin = 0
-        self.counts = np.zeros((2, 0), dtype=np.int64)
+        self.prefix = np.zeros((2, 0), dtype=np.float64)
 
     def update(self, thresholds: np.ndarray, offset: int) -> np.ndarray:
         """Count the region ``thresholds`` of ids ``offset ..``; return a copy of them.
@@ -240,7 +253,7 @@ class BreakpointHistograms:
         start = offset - self.offset  # rows of the copy that left the region
         kept = -1 if old is None else old.shape[0] - start
         top = ((offset + m - 1) >> _BOUND_BLOCK_BITS) - self.origin
-        if start < 0 or not 0 < kept <= m or top >= self.counts.shape[1]:
+        if start < 0 or not 0 < kept <= m or top >= self.prefix.shape[1]:
             self._count(thresholds, offset)
         else:
             changed = np.flatnonzero(thresholds[:kept] != old[start:])
@@ -258,14 +271,14 @@ class BreakpointHistograms:
         """The arguments of :func:`split_score_bound` for the splits ``low..high``.
 
         ``1 <= low <= high < m`` of the region of the last :meth:`update`.
+        The counts are views of :attr:`prefix`, valid until the next update.
         """
         offset, origin = self.offset, self.origin
         # block j holds the splits whose cut offset + s - 1 lies in bin first + j
         first = (offset + low - 1) >> _BOUND_BLOCK_BITS  # > origin: offset only grows
         last = (offset + high - 1) >> _BOUND_BLOCK_BITS
         # column i: values in bins up to origin + i, i.e. below the cuts of bin origin + i + 1
-        below = np.cumsum(self.counts[:, : last - origin + 1], axis=1)
-        pred0 = below[0, first - origin - 1 :]
+        pred0 = self.prefix[0, first - origin - 1 : last - origin + 1]
         first_split = np.arange(
             (first << _BOUND_BLOCK_BITS) - offset + 1,
             (last << _BOUND_BLOCK_BITS) - offset + 2,
@@ -275,7 +288,8 @@ class BreakpointHistograms:
         last_split = first_split + (BOUND_BLOCK - 1)
         first_split[0] = low
         last_split[-1] = high
-        return first_split, last_split, pred0[:-1], pred0[1:], below[1, first - origin :]
+        n00_last = self.prefix[1, first - origin : last - origin + 1]
+        return first_split, last_split, pred0[:-1], pred0[1:], n00_last
 
     def _count(self, thresholds: np.ndarray, offset: int) -> None:
         """Count the region afresh, with bins for ``m`` more ids before the next recount."""
@@ -283,34 +297,56 @@ class BreakpointHistograms:
         self.origin = (offset >> _BOUND_BLOCK_BITS) - 1
         n_bins = ((offset + 2 * m) >> _BOUND_BLOCK_BITS) - self.origin + 1
         ids = np.arange(offset, offset + m, dtype=np.int64)
-        self.counts = np.empty((2, n_bins), dtype=np.int64)
+        self.prefix = np.empty((2, n_bins), dtype=np.float64)
         for row, values in enumerate((thresholds, np.maximum(thresholds, ids))):
             bins = values >> _BOUND_BLOCK_BITS
             bins -= self.origin
             np.maximum(bins, 0, out=bins)
             np.minimum(bins, n_bins - 1, out=bins)
-            self.counts[row] = np.bincount(bins, minlength=n_bins)
+            np.cumsum(np.bincount(bins, minlength=n_bins), out=self.prefix[row])
 
     def _move(
         self, thresholds: np.ndarray, offset: int, start: int, kept: int, changed: list
     ) -> None:
-        """Move the rows that left, changed or joined, one by one in Python ints."""
-        old = self.thresholds
-        origin, last_bin = self.origin, self.counts.shape[1] - 1
-        counts_t, counts_b = self.counts
+        """Move the rows that left, changed or joined, one by one in Python ints.
 
-        def shift(threshold: int, row_id: int, delta: int) -> None:
-            both = threshold if threshold > row_id else row_id
-            counts_t[min(max((threshold >> _BOUND_BLOCK_BITS) - origin, 0), last_bin)] += delta
-            counts_b[min(max((both >> _BOUND_BLOCK_BITS) - origin, 0), last_bin)] += delta
-
+        A moved row is ``(old threshold, row id, new threshold)``, None on
+        the side where it is outside the region: there it sits in bin
+        ``n_bins``, past every sum.  Each side has two bins, of the
+        threshold and of ``max(threshold, row id)``, clipped to the kept
+        ones.  The loop runs every bounded pass, so it calls no helpers.
+        """
+        old, old_offset = self.thresholds, self.offset
+        moves = []
         for row in range(start):
-            shift(int(old[row]), self.offset + row, -1)
+            moves.append((int(old[row]), old_offset + row, None))
         for row in changed:
-            shift(int(old[start + row]), offset + row, -1)
-            shift(int(thresholds[row]), offset + row, 1)
+            moves.append((int(old[start + row]), offset + row, int(thresholds[row])))
         for row in range(kept, thresholds.shape[0]):
-            shift(int(thresholds[row]), offset + row, 1)
+            moves.append((None, offset + row, int(thresholds[row])))
+        shift, origin, top = _BOUND_BLOCK_BITS, self.origin, self.prefix.shape[1] - 1
+        pred0, n00 = self.prefix
+        for before, row_id, after in moves:
+            if before is None:
+                pred_before = both_before = top + 1
+            else:
+                pred_before = both_before = min(max((before >> shift) - origin, 0), top)
+                if before < row_id:
+                    both_before = min(max((row_id >> shift) - origin, 0), top)
+            if after is None:
+                pred_after = both_after = top + 1
+            else:
+                pred_after = both_after = min(max((after >> shift) - origin, 0), top)
+                if after < row_id:
+                    both_after = min(max((row_id >> shift) - origin, 0), top)
+            if pred_before < pred_after:
+                pred0[pred_before:pred_after] -= 1.0
+            elif pred_after < pred_before:
+                pred0[pred_after:pred_before] += 1.0
+            if both_before < both_after:
+                n00[both_before:both_after] -= 1.0
+            elif both_after < both_before:
+                n00[both_after:both_before] += 1.0
 
 
 def get_score_function(name: str) -> Callable[..., np.ndarray]:

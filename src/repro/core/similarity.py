@@ -15,6 +15,10 @@ implements the three measures evaluated in the ablation study (§4.2 c):
 Every measure is a pure function of the per-offset dot products with the
 query subsequence, the per-offset means/standard deviations and (for CID) the
 per-offset complexity estimates, so all of them run in O(d) per stream update.
+The one copy of each measure's arithmetic (:func:`get_similarity_from_stats`)
+reads the means and stds scaled by the width, ``w·μ`` and ``w·σ``: the
+streaming k-NN keeps them so, and the one-off helpers over raw statistics
+scale them first, which leaves every result bit-identical.
 """
 
 from __future__ import annotations
@@ -68,48 +72,51 @@ def pearson_from_dot_products(
         (a constant subsequence whose std was not floored by the caller)
         deterministically correlate 0.0 instead of dividing by zero.
     """
-    return pearson_from_query_stats(
-        dot_products, means, stds, means[query_index], stds[query_index], window_size
+    w = float(window_size)
+    return pearson_from_scaled_stats(
+        dot_products, means * w, stds * w, means[query_index], stds[query_index]
     )
 
 
-def pearson_from_query_stats(
+def pearson_from_scaled_stats(
     dot_products: np.ndarray,
-    means: np.ndarray,
-    stds: np.ndarray,
+    w_means: np.ndarray,
+    w_stds: np.ndarray,
     query_mean,
     query_std,
-    window_size: int,
+    floored_stds: bool = False,
 ) -> np.ndarray:
-    """Eqn. 4 with the query's mean and std passed in rather than indexed.
+    """Eqn. 4 from the statistics scaled by the width, ``w·μ`` and ``w·σ``.
 
-    The expressions of :func:`pearson_from_dot_products`, which delegates
-    here.  With ``(B, m)`` dot products, means and stds and ``(B, 1)`` query
-    columns it correlates ``B`` queries in one call, each row bit-identical
-    to its own 1-d call.
+    The single copy of the correlation arithmetic: every caller holding raw
+    means and stds (:func:`pearson_from_dot_products`,
+    :func:`get_similarity`) scales them first, and the streaming k-NN keeps
+    them scaled.  With ``(B, m)`` dot products and statistics and ``(B, 1)``
+    query columns it correlates ``B`` queries in one call, each row
+    bit-identical to its own 1-d call.
 
-    The arithmetic runs in place in two fresh buffers, with the operands of
-    ``numerator = dot_products - (w * means) * query_mean`` and
-    ``denominator = (w * stds) * query_std`` in that order.  The clip to
-    ``[-1, 1]`` is a ``maximum`` then a ``minimum``, which equals
-    ``np.clip`` element for element.  The zero-denominator rule costs a
-    pass only when some denominator is not positive (never inside the
-    k-NN, whose stds are floored).
+    Five passes over the row, in place in two fresh buffers:
+    ``numerator = dot_products - (w·μ) * query_mean`` and ``denominator =
+    (w·σ) * query_std`` (the operands of ``(μ * w) * μ_q`` and
+    ``(σ * w) * σ_q``, in that order), the division, then the clip to
+    ``[-1, 1]`` in place, one pass that equals a ``maximum`` then a
+    ``minimum`` bit for bit, NaN included.  Denominators that are not
+    positive correlate 0.0; finding them costs a sixth pass, a ``min``
+    scan, which a caller skips with ``floored_stds=True`` when every std
+    (the query's too) is at least the k-NN's floor of ``1e-8``: a product
+    ``w·σ·σ_q`` of such values cannot round to zero, so the scan could not
+    fire.
     """
-    w = float(window_size)
-    corr = np.multiply(means, w)
-    corr *= query_mean
+    corr = np.multiply(w_means, query_mean)
     np.subtract(dot_products, corr, out=corr)
-    denominator = np.multiply(stds, w)
-    denominator *= query_std
-    if denominator.size and denominator.min() > 0.0:
+    denominator = np.multiply(w_stds, query_std)
+    if floored_stds or (denominator.size and denominator.min() > 0.0):
         np.divide(corr, denominator, out=corr)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(corr, denominator, out=corr)
         corr[np.logical_not(denominator > 0.0)] = 0.0
-    np.maximum(corr, -1.0, out=corr)
-    np.minimum(corr, 1.0, out=corr)
+    np.clip(corr, -1.0, 1.0, out=corr)
     return corr
 
 
@@ -155,43 +162,61 @@ def similarity_profile(
 ) -> np.ndarray:
     """Similarity of every subsequence to the query (higher = more similar).
 
-    One-off form of :func:`get_similarity` (which the streaming k-NN
-    resolves once); it guarantees a "higher is better" orientation so the
-    k-NN search is always an arg-k-max.
+    One-off form of :func:`get_similarity` over raw means and stds (the
+    streaming k-NN resolves :func:`get_similarity_from_stats` once and keeps
+    its statistics scaled); it guarantees a "higher is better" orientation
+    so the k-NN search is always an arg-k-max.
     """
     profile = get_similarity(measure)
     return profile(dot_products, means, stds, query_index, window_size, complexities)
 
 
 def get_similarity_from_stats(measure: str) -> Callable[..., np.ndarray]:
-    """Return the measure's expressions with the query statistics passed in.
+    """Return the measure's expressions over the width-scaled statistics.
 
-    The returned ``rows(dots, means, stds, query_means, query_stds, w,
-    comps=None, query_comps=None)`` is the single copy of each measure's
-    arithmetic: :func:`get_similarity` indexes the query statistics out of
-    the per-offset arrays and calls it.  Given ``(B, m)`` profiles and
-    statistics with ``(B, 1)`` query columns it scores ``B`` queries per
-    call, each row bit-identical to the 1-d call — the block step of the
-    streaming k-NN relies on that.
+    The returned ``rows(dots, w_means, w_stds, query_means, query_stds, w,
+    comps, query_comps, floored=False)`` is the single copy of each
+    measure's arithmetic.  ``w_means`` and ``w_stds`` are ``w·μ`` and
+    ``w·σ`` per offset; the query's mean and std are raw, and ``comps`` and
+    ``query_comps`` are None except for CID.  :func:`get_similarity` scales
+    raw statistics and calls it; the streaming k-NN keeps them scaled and
+    calls it directly (per point through the numpy backend's
+    ``similarity_kernel``).  Given ``(B, m)`` profiles and statistics with
+    ``(B, 1)`` query columns it scores ``B`` queries per call, each row
+    bit-identical to the 1-d call — the block step of the streaming k-NN
+    relies on that.  ``floored`` skips the zero-denominator scan, see
+    :func:`pearson_from_scaled_stats`.
     """
     if measure == "pearson":
 
-        def rows(dots, means, stds, query_means, query_stds, w, comps=None, query_comps=None):
-            return pearson_from_query_stats(dots, means, stds, query_means, query_stds, w)
+        def rows(
+            dots, w_means, w_stds, query_means, query_stds, w, comps, query_comps, floored=False
+        ):
+            return pearson_from_scaled_stats(
+                dots, w_means, w_stds, query_means, query_stds, floored
+            )
 
     elif measure == "euclidean":
 
-        def rows(dots, means, stds, query_means, query_stds, w, comps=None, query_comps=None):
-            corr = pearson_from_query_stats(dots, means, stds, query_means, query_stds, w)
+        def rows(
+            dots, w_means, w_stds, query_means, query_stds, w, comps, query_comps, floored=False
+        ):
+            corr = pearson_from_scaled_stats(
+                dots, w_means, w_stds, query_means, query_stds, floored
+            )
             dist_sq = squared_distance_from_correlation(corr, w)
             return -np.sqrt(np.maximum(dist_sq, 0.0))
 
     elif measure == "cid":
 
-        def rows(dots, means, stds, query_means, query_stds, w, comps=None, query_comps=None):
+        def rows(
+            dots, w_means, w_stds, query_means, query_stds, w, comps, query_comps, floored=False
+        ):
             if comps is None:
                 raise ConfigurationError("CID similarity requires subsequence complexities")
-            corr = pearson_from_query_stats(dots, means, stds, query_means, query_stds, w)
+            corr = pearson_from_scaled_stats(
+                dots, w_means, w_stds, query_means, query_stds, floored
+            )
             dist_sq = squared_distance_from_correlation(corr, w)
             dist = np.sqrt(np.maximum(dist_sq, 0.0))
             return -dist * _cid_factor(comps, query_comps)
@@ -204,13 +229,13 @@ def get_similarity_from_stats(measure: str) -> Callable[..., np.ndarray]:
 
 
 def get_similarity(measure: str) -> Callable[..., np.ndarray]:
-    """Return the measure-specialised similarity-profile function.
+    """Return the measure-specialised similarity-profile function over raw statistics.
 
-    Dispatch on the measure name happens exactly once, here — the returned
-    callable computes its measure directly instead of re-resolving the
-    string on every call, which matters because the streaming k-NN invokes
-    it once per ingested observation.  This is also the numpy reference
-    kernel handed out by :mod:`repro.core.kernels`.
+    Dispatch on the measure name happens exactly once, here.  The returned
+    ``profile(dot_products, means, stds, query_index, window_size,
+    complexities=None)`` scales the means and stds by the width and calls
+    :func:`get_similarity_from_stats`'s expressions, so its result is
+    bit-identical to theirs.
     """
     rows = get_similarity_from_stats(measure)
 
@@ -222,11 +247,12 @@ def get_similarity(measure: str) -> Callable[..., np.ndarray]:
         window_size: int,
         complexities: np.ndarray | None = None,
     ) -> np.ndarray:
+        w = float(window_size)
         query_complexity = None if complexities is None else complexities[query_index]
         return rows(
             dot_products,
-            means,
-            stds,
+            means * w,
+            stds * w,
             means[query_index],
             stds[query_index],
             window_size,

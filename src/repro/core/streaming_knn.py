@@ -43,7 +43,10 @@ O(d) terms:
 * per-subsequence means, standard deviations and (for CID) complexities are
   computed exactly once when a subsequence first appears and kept in backing
   arrays aligned with the window, instead of being recomputed with O(d)
-  cumulative sums on every update.
+  cumulative sums on every update.  So are the means and stds scaled by the
+  width, ``w·μ`` and ``w·σ``, which the similarity reads: a step makes five
+  array passes over the window for Eqn. 4 (six with the zero-denominator
+  scan, which runs only beside a NaN std), not nine.
 
 Three operation modes are provided so the ablation benchmarks can reproduce
 the runtime discussion of §4.4:
@@ -290,9 +293,13 @@ class StreamingKNN:
         self._evictions = 0
         # per-subsequence statistics, aligned with the backing array: entry at
         # backing position p describes the subsequence buffer[p:p+w].  Each is
-        # computed exactly once, when the subsequence first appears.
+        # computed exactly once, when the subsequence first appears.  The
+        # scaled w·μ and w·σ are derived state: not checkpointed, rebuilt
+        # from the means and stds on restore.
         self._means = np.zeros(self._capacity, dtype=np.float64)
         self._stds = np.zeros(self._capacity, dtype=np.float64)
+        self._scaled_means = np.zeros(self._capacity, dtype=np.float64)
+        self._scaled_stds = np.zeros(self._capacity, dtype=np.float64)
         self._comps = np.zeros(self._capacity, dtype=np.float64) if similarity == "cid" else None
         # (w-1)-length partial dot products carried between updates (Eqn. 5)
         self._q_store = np.zeros(self._max_subsequences, dtype=np.float64)
@@ -439,6 +446,8 @@ class StreamingKNN:
         self._buffer.fill(0.0)
         self._means.fill(0.0)
         self._stds.fill(0.0)
+        self._scaled_means.fill(0.0)
+        self._scaled_stds.fill(0.0)
         if self._comps is not None:
             self._comps.fill(0.0)
         self._q_store.fill(0.0)
@@ -467,7 +476,9 @@ class StreamingKNN:
 
         The kernel backend is deliberately *not* part of the payload:
         backends are bit-identical, so state saved under one backend
-        restores into an instance using any other.
+        restores into an instance using any other.  Neither are the scaled
+        statistics ``w·μ`` and ``w·σ``, which a restore rebuilds from the
+        means and stds.
         """
         return {
             "config": {
@@ -524,6 +535,7 @@ class StreamingKNN:
         self._evictions = int(state["evictions"])
         self._means = np.array(state["means"], dtype=np.float64)
         self._stds = np.array(state["stds"], dtype=np.float64)
+        self._scale_statistics()
         self._comps = None if state["comps"] is None else np.array(state["comps"], dtype=np.float64)
         self._q_store = np.array(state["q_store"], dtype=np.float64)
         self._q_valid = int(state["q_valid"])
@@ -538,18 +550,21 @@ class StreamingKNN:
         self._last_similarities = None if last is None else np.array(last, dtype=np.float64)
 
     def __getstate__(self) -> dict:
-        """Pickle support: drop the cached kernel callables.
+        """Pickle support: drop the cached kernel callables and the scaled statistics.
 
         The backend object and the measure-specialised similarity functions
         are derived from ``(kernel_backend, similarity)`` and may be local
         closures or JIT dispatchers, neither of which pickles.  They are
         rebuilt on unpickling, so embedding a live instance in a deep-copied
-        checkpoint (as the FLOSS competitor does) keeps working.
+        checkpoint (as the FLOSS competitor does) keeps working.  The scaled
+        ``w·μ`` and ``w·σ`` are rebuilt from the means and stds as well.
         """
         state = self.__dict__.copy()
         state.pop("_kernels", None)
         state.pop("_similarity_fn", None)
         state.pop("_similarity_rows", None)
+        state.pop("_scaled_means", None)
+        state.pop("_scaled_stds", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -557,6 +572,7 @@ class StreamingKNN:
         self._kernels = get_backend(self.kernel_backend)
         self._similarity_fn = self._kernels.similarity_kernel(self.similarity)
         self._similarity_rows = get_similarity_from_stats(self.similarity)
+        self._scale_statistics()
 
     def region_view(self, region_start: int = 0) -> RegionView:
         """Zero-copy scoring inputs for the table suffix from ``region_start`` on.
@@ -602,8 +618,18 @@ class StreamingKNN:
         :data:`BLOCK_MAX_SUBSEQUENCES` subsequences, runs as whole-block
         numpy operations (:meth:`_advance_blocks`); everything else steps
         point by point.
+
+        The similarity skips its zero-denominator scan while every std its
+        steps read is at least :data:`STD_FLOOR` (a NaN std, from values
+        whose squares overflow, is not): no denominator can then be zero.
+        Within one call subsequences only leave the window, so the stds
+        live at its start, ANDed with each batch the call computes, cover
+        every step.  The decision is made afresh in each call and read from
+        the live subsequences only, never from the zero-filled backing.
         """
         w = self.subsequence_width
+        live = self._stds[self._start : self._start + max(0, self._length - w + 1)]
+        floored = bool(live.min(initial=np.inf) >= STD_FLOOR)
         dot_update = {
             "streaming": self._incremental_dot_products,
             "recompute": self._recomputed_dot_products,
@@ -629,7 +655,8 @@ class StreamingKNN:
             # statistics for the subsequences completed by this sub-chunk
             first = max(0, w - 1 - self._length)
             if first < take:
-                self._compute_subsequence_stats(write + first - w + 1, take - first)
+                computed = self._compute_subsequence_stats(write + first - w + 1, take - first)
+                floored = floored and computed
             profiles = None
             if batch_fft and take >= FFT_BATCH_MIN and self._length == self.window_size:
                 profiles = self._batch_fft_profiles(take)
@@ -638,12 +665,12 @@ class StreamingKNN:
                 count = min(pending, take - done)
                 if profiles is not None:
                     for profile in itertools.islice(profiles, count):
-                        ready = self._step(self._precomputed_dot_products(profile))
+                        ready = self._step(self._precomputed_dot_products(profile), floored)
                 elif blocks and count > 1 and self._length == self.window_size:
-                    ready = self._advance_blocks(count)
+                    ready = self._advance_blocks(count, floored)
                 else:
                     for _ in range(count):
-                        ready = self._step(dot_update)
+                        ready = self._step(dot_update, floored)
                 done += count
                 pending -= count
                 if not pending:
@@ -653,8 +680,11 @@ class StreamingKNN:
                         raise ConfigurationError(f"send(n) needs n >= 1, got {sent}")
             position += take
 
-    def _step(self, dot_update) -> bool:
-        """Advance the window over one already-written observation."""
+    def _step(self, dot_update, floored: bool) -> bool:
+        """Advance the window over one already-written observation.
+
+        ``floored`` vouches that every live std is at least :data:`STD_FLOOR`.
+        """
         if self._length < self.window_size:
             self._length += 1
             evicted = False
@@ -665,15 +695,23 @@ class StreamingKNN:
         if self._length < self.subsequence_width:
             return False
         m = self._length - self.subsequence_width + 1
-        window = self._buffer[self._start : self._start + self._length]
+        start, query = self._start, self._start + m - 1
+        window = self._buffer[start : start + self._length]
         dot_products = dot_update(window, m, evicted)
-        means = self._means[self._start : self._start + m]
-        stds = self._stds[self._start : self._start + m]
-        complexities = None
+        complexities = query_complexity = None
         if self._comps is not None:
-            complexities = self._comps[self._start : self._start + m]
+            complexities = self._comps[start : start + m]
+            query_complexity = self._comps[query]
         similarities = self._similarity_fn(
-            dot_products, means, stds, m - 1, self.subsequence_width, complexities
+            dot_products,
+            self._scaled_means[start : start + m],
+            self._scaled_stds[start : start + m],
+            self._means[query],
+            self._stds[query],
+            self.subsequence_width,
+            complexities,
+            query_complexity,
+            floored,
         )
         self._last_similarities = similarities
         self._refresh_tables(similarities, evicted)
@@ -711,7 +749,7 @@ class StreamingKNN:
             yield from conv[:, w - 1 : w - 1 + m]
             done += block
 
-    def _advance_blocks(self, count: int) -> bool:
+    def _advance_blocks(self, count: int, floored: bool) -> bool:
         """Advance ``count`` saturated ``"streaming"`` steps in blocks.
 
         A block stops at :data:`BLOCK_ROWS` steps and before the step that
@@ -721,13 +759,13 @@ class StreamingKNN:
             steps = min(count, BLOCK_ROWS, self._max_subsequences - self._row_start)
             if steps < 2:
                 steps = 1
-                self._step(self._incremental_dot_products)
+                self._step(self._incremental_dot_products, floored)
             else:
-                self._block_step(steps)
+                self._block_step(steps, floored)
             count -= steps
         return True
 
-    def _block_step(self, steps: int) -> None:
+    def _block_step(self, steps: int, floored: bool) -> None:
         """Advance ``steps`` saturated steps with whole-block numpy operations.
 
         Bit-identical to ``steps`` calls of :meth:`_step` with the numpy
@@ -768,13 +806,14 @@ class StreamingKNN:
             query_complexities = self._comps[queries, None]
         sims = self._similarity_rows(
             dots[1::2],
-            _step_rows(self._means, first, steps, m),
-            _step_rows(self._stds, first, steps, m),
+            _step_rows(self._scaled_means, first, steps, m),
+            _step_rows(self._scaled_stds, first, steps, m),
             self._means[queries, None],
             self._stds[queries, None],
             w,
             complexities,
             query_complexities,
+            floored,
         )
 
         # the newest row of step b lands at backing row row_start + m + b
@@ -918,17 +957,22 @@ class StreamingKNN:
         if m > 0:
             self._means[:m] = self._means[start : start + m]
             self._stds[:m] = self._stds[start : start + m]
+            self._scaled_means[:m] = self._scaled_means[start : start + m]
+            self._scaled_stds[:m] = self._scaled_stds[start : start + m]
             if self._comps is not None:
                 self._comps[:m] = self._comps[start : start + m]
         self._start = 0
 
-    def _compute_subsequence_stats(self, first: int, count: int) -> None:
-        """Vectorised mean/std (and CID complexity) for ``count`` new subsequences.
+    def _compute_subsequence_stats(self, first: int, count: int) -> bool:
+        """Vectorised statistics for ``count`` new subsequences; True if their stds are floored.
 
-        ``first`` is the backing position of the earliest new subsequence.
-        Row-wise numpy reductions are order-deterministic per row, so bulk
-        computation over a chunk is bit-identical to one-at-a-time
-        computation.
+        Computes the mean, the std, their scaled ``w·μ`` and ``w·σ`` (from
+        the stored mean and floored std, as :meth:`_scale_statistics`
+        rebuilds them) and the CID complexity.  ``first`` is the backing
+        position of the earliest new subsequence.  Row-wise numpy reductions
+        are order-deterministic per row, so bulk computation over a chunk is
+        bit-identical to one-at-a-time computation.  A std is not at least
+        :data:`STD_FLOOR` only when it is NaN.
         """
         w = self.subsequence_width
         block = self._buffer[first : first + count + w - 1]
@@ -938,13 +982,23 @@ class StreamingKNN:
         mean = sums / w
         variance = np.maximum(squares / w - mean * mean, 0.0)
         std = np.maximum(np.sqrt(variance), STD_FLOOR)
-        self._means[first : first + count] = mean
-        self._stds[first : first + count] = std
+        new = slice(first, first + count)
+        self._means[new] = mean
+        self._stds[new] = std
+        np.multiply(mean, float(w), out=self._scaled_means[new])
+        np.multiply(std, float(w), out=self._scaled_stds[new])
         if self._comps is not None:
             diffs = np.diff(block)
             diff_subs = np.lib.stride_tricks.sliding_window_view(diffs, w - 1)
             complexity = np.sqrt(np.maximum((diff_subs * diff_subs).sum(axis=1), 0.0))
-            self._comps[first : first + count] = complexity
+            self._comps[new] = complexity
+        return bool(std.min() >= STD_FLOOR)
+
+    def _scale_statistics(self) -> None:
+        """Rebuild ``w·μ`` and ``w·σ`` from the means and stds (restore, unpickle)."""
+        w = float(self.subsequence_width)
+        self._scaled_means = self._means * w
+        self._scaled_stds = self._stds * w
 
     def _incremental_dot_products(self, window: np.ndarray, m: int, evicted: bool) -> np.ndarray:
         """The O(d) dot-product update of Algorithm 2 (Eqns. 3 and 5)."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import similarity as similarity_module
 from repro.core import streaming_knn
 from repro.core.class_segmenter import ClaSS
 from repro.core.similarity import SIMILARITY_MEASURES, pairwise_similarity_matrix
@@ -378,9 +379,9 @@ class TestSendAndBlocks:
         calls = []
         block_step = StreamingKNN._block_step
 
-        def counted(knn, steps):
+        def counted(knn, steps, floored):
             calls.append(steps)
-            return block_step(knn, steps)
+            return block_step(knn, steps, floored)
 
         monkeypatch.setattr(StreamingKNN, "_block_step", counted)
         values = block_values("quantised", 700, 3)
@@ -399,9 +400,9 @@ class TestSendAndBlocks:
         calls = []
         block_step = StreamingKNN._block_step
 
-        def counted(knn, steps):
+        def counted(knn, steps, floored):
             calls.append(steps)
-            return block_step(knn, steps)
+            return block_step(knn, steps, floored)
 
         monkeypatch.setattr(StreamingKNN, "_block_step", counted)
         monkeypatch.setattr(streaming_knn, "BLOCK_MAX_SUBSEQUENCES", limit)
@@ -566,3 +567,154 @@ class TestCheckpointBytes:
         state = knn.state_dict()
         for key in ("buffer", "means", "stds", "comps", "q_store"):
             assert not state[key].any(), key
+
+
+def overflowing_values(seed: int) -> np.ndarray:
+    """400 N(0, 1) points with points 150-169 scaled by 1e160: their stds are NaN."""
+    values = np.random.default_rng(seed).normal(size=400)
+    values[150:170] *= 1e160
+    return values
+
+
+def three_ways(config: dict, values: np.ndarray) -> list[list[bytes]]:
+    """The k-NN's state bytes after each call: ``update_many`` chunks, ``send(n)``, a restore.
+
+    The restore happens at observation 160, inside the burst of
+    :func:`overflowing_values`.
+    """
+    runs = []
+    chunked = StreamingKNN(**config)
+    states = []
+    for start in range(0, values.shape[0], 37):
+        ingest(chunked, values[start : start + 37])
+        states.append(state_bytes(chunked))
+    runs.append(states)
+    sent = StreamingKNN(**config)
+    advance(sent.update_many(values), [13, 1, BLOCK_ROWS], values.shape[0])
+    runs.append([state_bytes(sent)])
+    first = StreamingKNN(**config)
+    ingest(first, values[:160])
+    restored = StreamingKNN(**config)
+    restored.load_state_dict(pickle.loads(pickle.dumps(first.state_dict())))
+    advance(restored.update_many(values[160:]), [7], values.shape[0] - 160)
+    runs.append([state_bytes(restored)])
+    return runs
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+class TestZeroDenominatorScan:
+    """Skipping the similarity's zero-denominator scan never changes a table byte."""
+
+    @pytest.mark.parametrize("similarity", SIMILARITY_MEASURES)
+    @pytest.mark.parametrize("kind", ("overflowing", "ordinary"))
+    def test_skipping_the_scan_equals_scanning_every_step(self, monkeypatch, similarity, kind):
+        values = overflowing_values(3) if kind == "overflowing" else block_values("flat", 400, 3)
+        config = dict(
+            window_size=200, subsequence_width=10, similarity=similarity, kernel_backend="numpy"
+        )
+        pearson = similarity_module.pearson_from_scaled_stats
+        skipped = []
+
+        def recording(dots, w_means, w_stds, query_mean, query_std, floored_stds=False):
+            if floored_stds:  # every std the step reads, the query's too, is positive
+                assert (w_stds > 0.0).all() and (np.asarray(query_std) > 0.0).all()
+            skipped.append(floored_stds)
+            return pearson(dots, w_means, w_stds, query_mean, query_std, floored_stds)
+
+        def scanning(dots, w_means, w_stds, query_mean, query_std, floored_stds=False):
+            return pearson(dots, w_means, w_stds, query_mean, query_std, False)
+
+        monkeypatch.setattr(similarity_module, "pearson_from_scaled_stats", recording)
+        optimised = three_ways(config, values)
+        monkeypatch.setattr(similarity_module, "pearson_from_scaled_stats", scanning)
+        assert three_ways(config, values) == optimised
+        if kind == "ordinary":
+            assert all(skipped)
+        else:  # the burst's NaN stds make calls scan, the rest skip
+            assert any(skipped) and not all(skipped)
+
+    def test_overflowing_values_give_nan_stds(self):
+        knn = StreamingKNN(window_size=200, subsequence_width=10)
+        ingest(knn, overflowing_values(3)[:180])
+        stds = knn.state_dict()["stds"][: knn.n_subsequences]
+        assert np.isnan(stds).any() and (stds[:100] > 0.0).all()
+
+
+def feed(knn: StreamingKNN, values: np.ndarray, chunks: list, schedule: list) -> None:
+    """Feed ``values`` in chunks cycling through ``chunks``, each advanced by ``schedule``."""
+    position = 0
+    index = 0
+    while position < values.shape[0]:
+        chunk = values[position : position + chunks[index % len(chunks)]]
+        advance(knn.update_many(chunk), schedule, chunk.shape[0])
+        position += chunk.shape[0]
+        index += 1
+
+
+class TestScaledStatisticsAgainstARestore:
+    """A restore rebuilds ``w·μ`` and ``w·σ`` from the saved means and stds.
+
+    Every backend reads the same kept statistics, so comparing backends
+    cannot catch a stale ``w·μ`` or ``w·σ``; a run restored at any position
+    and fed the rest, whose scaled statistics start afresh, can.
+    """
+
+    @given(
+        width=st.integers(min_value=2, max_value=8),
+        extra=st.integers(min_value=0, max_value=60),
+        k=st.integers(min_value=1, max_value=4),
+        similarity=st.sampled_from(SIMILARITY_MEASURES),
+        backend=st.sampled_from(("numpy", "loops")),
+        kind=st.sampled_from(("noise", "quantised", "flat", "periodic")),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        cut=st.floats(min_value=0.0, max_value=1.0),
+        chunks=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4),
+        schedule=st.lists(
+            st.integers(min_value=1, max_value=3 * BLOCK_ROWS), min_size=1, max_size=4
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_restore_mid_stream_equals_the_uninterrupted_run(
+        self, width, extra, k, similarity, backend, kind, seed, cut, chunks, schedule
+    ):
+        window = 2 * width + extra
+        # several buffer and table compactions long; the cut falls anywhere,
+        # in the growing window as well as the saturated one
+        values = block_values(kind, 4 * window + 40, seed)
+        config = dict(
+            window_size=window,
+            subsequence_width=width,
+            k_neighbours=k,
+            similarity=similarity,
+            kernel_backend=backend,
+        )
+        uninterrupted = StreamingKNN(**config)
+        feed(uninterrupted, values, chunks, schedule)
+        at = int(cut * values.shape[0])
+        first = StreamingKNN(**config)
+        feed(first, values[:at], chunks, schedule)
+        restored = StreamingKNN(**config)
+        restored.load_state_dict(pickle.loads(pickle.dumps(first.state_dict())))
+        feed(restored, values[at:], chunks, schedule)
+        assert state_bytes(restored) == state_bytes(uninterrupted)
+        unpickled = pickle.loads(pickle.dumps(first))  # rebuilds them as well
+        feed(unpickled, values[at:], chunks, schedule)
+        assert state_bytes(unpickled) == state_bytes(uninterrupted)
+
+    @pytest.mark.parametrize("similarity", SIMILARITY_MEASURES)
+    def test_reset_then_refeed(self, similarity):
+        config = dict(window_size=60, subsequence_width=5, similarity=similarity)
+        values = block_values("flat", 700, 7)
+        reset = StreamingKNN(**config)
+        ingest(reset, values[:400])  # compacts the buffer and the tables
+        reset.reset()
+        ingest(reset, values[400:550])
+        payload = pickle.loads(pickle.dumps(reset.state_dict()))
+        ingest(reset, values[550:])
+        fresh = StreamingKNN(**config)
+        ingest(fresh, values[400:])
+        assert state_bytes(reset) == state_bytes(fresh)
+        restored = StreamingKNN(**config)
+        restored.load_state_dict(payload)
+        ingest(restored, values[550:])
+        assert state_bytes(restored) == state_bytes(fresh)

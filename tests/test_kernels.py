@@ -34,6 +34,7 @@ from repro.core.similarity import (
     SIMILARITY_MEASURES,
     get_similarity_from_stats,
     pearson_from_dot_products,
+    similarity_profile,
 )
 from repro.core.streaming_knn import KNN_MODES, PADDING_INDEX, STD_FLOOR, StreamingKNN
 from repro.utils.exceptions import ConfigurationError
@@ -165,10 +166,14 @@ class TestKernelLevelEquivalence:
             means = rng.normal(size=m)
             stds = np.abs(rng.normal(size=m)) + 1e-3
             comps = np.abs(rng.normal(size=m)) + 1e-3
-            args = (dots, means, stds, m - 1, w, comps)
+            args = (dots, means * w, stds * w, means[-1], stds[-1], w, comps, comps[-1])
+            expected = reference.similarity_kernel(measure)(*args)
             np.testing.assert_array_equal(
-                reference.similarity_kernel(measure)(*args),
-                np.asarray(other.similarity_kernel(measure)(*args)),
+                expected, np.asarray(other.similarity_kernel(measure)(*args))
+            )
+            # every std is floored: skipping the scan changes nothing
+            np.testing.assert_array_equal(
+                reference.similarity_kernel(measure)(*args, True), expected
             )
 
     def test_similarity_ties_and_degenerate_stds(self, rng, other):
@@ -179,7 +184,7 @@ class TestKernelLevelEquivalence:
         stds = np.full(m, 1e-8)
         dots = np.concatenate([np.full(m // 2, 1e6), np.full(m - m // 2, -1e6)])
         for measure in SIMILARITY_MEASURES:
-            args = (dots, means, stds, m - 1, w, np.full(m, 1e-8))
+            args = (dots, means * w, stds * w, means[-1], stds[-1], w, np.full(m, 1e-8), 1e-8)
             np.testing.assert_array_equal(
                 reference.similarity_kernel(measure)(*args),
                 np.asarray(other.similarity_kernel(measure)(*args)),
@@ -188,7 +193,7 @@ class TestKernelLevelEquivalence:
     def test_cid_requires_complexities(self, other):
         profile = other.similarity_kernel("cid")
         with pytest.raises(ConfigurationError, match="complexities"):
-            profile(np.zeros(3), np.zeros(3), np.ones(3), 2, 5)
+            profile(np.zeros(3), np.zeros(3), np.ones(3), 0.0, 1.0, 5, None, None)
 
     def test_topk_newest_including_ties(self, rng, other):
         reference = get_backend("numpy")
@@ -271,7 +276,11 @@ class TestKernelLevelEquivalence:
 
 
 def expression_rows(measure, dots, means, stds, query_means, query_stds, w, comps, query_comps):
-    """The numpy similarity rows written as plain expressions (fresh arrays, np.clip)."""
+    """The numpy similarity rows written as plain expressions (fresh arrays, np.clip).
+
+    Over the raw means and stds: the nine-pass form of the kernels, which
+    read the scaled ``w·μ`` and ``w·σ`` instead.
+    """
     w = float(w)
     numerator = dots - w * means * query_means
     denominator = w * stds * query_stds
@@ -341,35 +350,41 @@ class TestNumpyKernelsEqualTheirExpressions:
     )
     @settings(max_examples=150, deadline=None)
     def test_similarity_rows(self, seed, rows, m, w, measure):
+        # the five-pass rows over the kept w·μ and w·σ equal the nine-pass
+        # expression over the raw means and stds, scanned or not (every
+        # std of kernel_inputs is at least STD_FLOOR)
         dots, means, stds, comps, query_means, query_stds, query_comps = kernel_inputs(
             seed, rows, m, w
         )
+        w_means, w_stds = means * w, stds * w
         similarity = get_similarity_from_stats(measure)
-        block = similarity(dots, means, stds, query_means, query_stds, w, comps, query_comps)
         expected = expression_rows(
             measure, dots, means, stds, query_means, query_stds, w, comps, query_comps
         )
-        np.testing.assert_array_equal(block, expected)
+        for floored in (False, True):
+            block = similarity(
+                dots, w_means, w_stds, query_means, query_stds, w, comps, query_comps, floored
+            )
+            np.testing.assert_array_equal(block, expected)
         if measure == "pearson":
             assert np.isin([-1.0, 1.0], expected).any() or m * rows < 40
         for row in range(rows):  # each row of a (B, m) call equals its own 1-d call
-            single = similarity(
-                dots[row],
-                means[row],
-                stds[row],
-                query_means[row, 0],
-                query_stds[row, 0],
-                w,
-                comps[row],
-                query_comps[row, 0],
-            )
-            np.testing.assert_array_equal(single, expected[row])
-        # the numpy backend's profile kernel: the query is the last offset
-        profile = get_backend("numpy").similarity_kernel(measure)
+            row_args = (dots[row], w_means[row], w_stds[row], query_means[row, 0])
+            row_args += (query_stds[row, 0], w, comps[row], query_comps[row, 0])
+            for floored in (False, True):
+                np.testing.assert_array_equal(similarity(*row_args, floored), expected[row])
+        # the per-point kernels: the numpy backend's profile over the scaled
+        # statistics, and the one-off helper over the raw ones (which scales
+        # them first); the query is the last offset
         query = (means[0, -1], stds[0, -1], w, comps[0], comps[0, -1])
         expected_profile = expression_rows(measure, dots[0], means[0], stds[0], *query)
+        profile = get_backend("numpy").similarity_kernel(measure)
+        scaled = (dots[0], w_means[0], w_stds[0], *query)
+        np.testing.assert_array_equal(profile(*scaled), expected_profile)
+        np.testing.assert_array_equal(profile(*scaled, True), expected_profile)
         np.testing.assert_array_equal(
-            profile(dots[0], means[0], stds[0], m - 1, w, comps[0]), expected_profile
+            similarity_profile(measure, dots[0], means[0], stds[0], m - 1, w, comps[0]),
+            expected_profile,
         )
 
     @given(

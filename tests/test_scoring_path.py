@@ -14,8 +14,9 @@ Four pillars, mirroring the contract of the scoring path:
   table, and so do the significance gate's labels;
 * every scoring pass the score-threshold gate prunes or scores only in
   part equals, in what it reports and in its lazily built profile, the full
-  pass it replaced; the bound's histograms, updated pass to pass, always
-  equal a fresh count of the scored region.
+  pass it replaced; the bound's histograms, kept as prefix sums and
+  updated pass to pass, always equal the running sums of a fresh count of
+  the scored region, and the bound equals its plain expression.
 """
 
 from __future__ import annotations
@@ -256,6 +257,47 @@ class TestFusedKernelEquivalence:
         np.testing.assert_array_equal(n00_last[:-1], n00[last_split[:-1]])
 
 
+def expression_bound(first_split, last_split, pred0_first, pred0_last, n00_last, m, score):
+    """:func:`split_score_bound` written as the plain expression over integer counts."""
+    a, b = first_split, last_split
+    n11_hi = (m - a) - pred0_first + n00_last
+    if score == "macro_f1":
+        class0 = 2.0 * n00_last / (pred0_first + a)
+        class1 = 2.0 * n11_hi / ((m - pred0_last) + (m - b))
+    else:
+        class0 = n00_last / a
+        class1 = n11_hi / (m - b)
+    return 0.5 * (np.minimum(class0, 1.0) + np.minimum(class1, 1.0))
+
+
+class TestSplitScoreBoundEqualsItsExpression:
+    """The bound over float counts, each class term halved, equals the integer expression."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=3, max_value=40_000),
+        n_blocks=st.integers(min_value=1, max_value=700),
+        score=st.sampled_from(["macro_f1", "accuracy"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_the_expression(self, seed, m, n_blocks, score):
+        rng = np.random.default_rng(seed)
+        first_split = np.sort(rng.integers(1, m, n_blocks))
+        last_split = np.minimum(first_split + rng.integers(0, BOUND_BLOCK, n_blocks), m - 1)
+        pred0 = np.sort(rng.integers(0, m + 1, n_blocks + 1))
+        pred0_first, pred0_last = pred0[:-1], pred0[1:]
+        n00_last = rng.integers(0, pred0_last + 1)
+        if rng.random() < 0.3:  # counts at the ends of their ranges
+            n00_last = np.where(rng.random(n_blocks) < 0.5, pred0_last, 0)
+        counts = (pred0_first, pred0_last, n00_last)
+        expected = expression_bound(first_split, last_split, *counts, m, score)
+        floats = [count.astype(np.float64) for count in counts]
+        for given_counts in (counts, floats):
+            bound = split_score_bound(first_split, last_split, *given_counts, m, score)
+            np.testing.assert_array_equal(bound, expected)
+        assert bound.dtype == np.float64
+
+
 def two_regime_stream(rng, half=650):
     t = np.arange(half)
     values = np.concatenate(
@@ -363,9 +405,10 @@ def audited_gate():
     """Check every gated ClaSS pass against the full pass of its region.
 
     The gate must bound exactly the regions of at least ``PRUNE_MIN_SPLITS``
-    splits.  After it bounded one, the maintained histograms must equal a
-    fresh count of the region (with the bins of every bounded block above
-    the shared first bin), the kept copy must equal the region's thresholds
+    splits.  After it bounded one, the kept prefix sums must equal the
+    running sums of a fresh count of the region over every bin (with the
+    bins of every bounded block above the shared first bin), the kept copy
+    must equal the region's thresholds
     and the bound must be at least the region's exact best score.  The pass
     must be pruned exactly when no block's bound reaches the gate's limit,
     and otherwise score the splits of the blocks whose bound reaches it,
@@ -397,9 +440,9 @@ def audited_gate():
         assert histograms.offset == region.offset
         assert histograms.origin < region.offset // BOUND_BLOCK
         expected = counted_afresh(
-            region.thresholds, region.offset, histograms.origin, histograms.counts.shape[1]
+            region.thresholds, region.offset, histograms.origin, histograms.prefix.shape[1]
         )
-        np.testing.assert_array_equal(histograms.counts, expected)
+        np.testing.assert_array_equal(histograms.prefix, np.cumsum(expected, axis=1))
         low = max(1, exclusion)
         edges = histograms.block_edges(low, m - low)
         bounds = split_score_bound(*edges, m, self.score)
@@ -642,7 +685,7 @@ class TestThresholdPruning:
 
 
 class TestBreakpointHistograms:
-    """Pinned: the bound's histograms, updated pass to pass, equal a fresh count."""
+    """Pinned: the bound's prefix sums, updated pass to pass, equal a fresh count's."""
 
     @given(
         score=st.sampled_from(["macro_f1", "accuracy"]),
@@ -704,7 +747,7 @@ class TestBreakpointHistograms:
         payload = segmenter.save_state()
         assert "histograms" not in str(sorted(payload))
         clone = pickle.loads(pickle.dumps(segmenter))  # the parallel ensemble ships these
-        np.testing.assert_array_equal(clone._histograms.counts, segmenter._histograms.counts)
+        np.testing.assert_array_equal(clone._histograms.prefix, segmenter._histograms.prefix)
         segmenter.reset_warmup()
         assert segmenter._histograms.thresholds is None
         restored = ClaSS()
