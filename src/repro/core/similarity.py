@@ -127,9 +127,12 @@ def squared_distance_from_correlation(
 
     For z-normalised subsequences of length ``w`` the identity
     ``dist^2 = 2 * w * (1 - corr)`` holds (Mueen et al.), which keeps the
-    Euclidean measure expressible through the same dot products.
+    Euclidean measure expressible through the same dot products.  The
+    correlations must already lie in ``[-1, 1]`` (NaN passes through), as
+    :func:`pearson_from_scaled_stats` returns them; they are not clipped
+    again.
     """
-    return 2.0 * float(window_size) * (1.0 - np.clip(correlations, -1.0, 1.0))
+    return 2.0 * float(window_size) * (1.0 - correlations)
 
 
 def cid_factor(complexities: np.ndarray, query_index: int) -> np.ndarray:

@@ -1,37 +1,32 @@
-"""Durable stream state: periodic checkpoints + a write-ahead batch tail log.
+"""Durable stream state: snapshots in a checkpoint index + a write-ahead batch tail.
 
 Durability contract (pinned by ``tests/test_service_durability.py`` and the
-chaos suite): **no acked observation is ever lost**.  Two artefacts per
-stream live under a spool directory:
+chaos suite): **no acked observation is ever lost**.  Each stream keeps one
+directory, ``<spool_dir>/streams/<name>/``, so that no stream name can map
+onto the ``history/`` spill beside it:
 
-* ``checkpoint-<n_seen>.ckpt`` — the detector's full
-  :meth:`save_state` payload, written atomically (tmp + fsync + rename)
-  with a CRC-32 integrity frame by
-  :func:`repro.api.checkpoint.write_payload_file`.  Checkpoints are taken
-  every ``checkpoint_every_n`` observations and/or every
-  ``checkpoint_every_seconds`` of wall clock; the newest
-  ``keep_checkpoints`` are retained so a corrupt newest file falls back to
-  its predecessor.
-* ``tail.log`` — an append-only, CRC-framed record per accepted batch,
-  fsynced *before* the batch mutates the detector (write-ahead).  Recovery
-  restores the newest valid checkpoint and replays the tail records beyond
-  it through the normal ingestion path — bit-identical to an uninterrupted
-  run thanks to the detectors' chunk-invariance and checkpoint guarantees.
-
-On each successful checkpoint the tail is compacted down to the records the
-*oldest retained* checkpoint still needs, so fallback recovery always has a
-complete replay window.
+* ``checkpoints/`` — a :class:`repro.storage.CheckpointIndex` of detector
+  snapshots (``ckpt-<n_seen>.ckpt``, CRC-framed, written atomically), taken
+  at registration, then every ``checkpoint_every_n`` observations and/or
+  ``checkpoint_every_seconds``; the newest :data:`KEEP_CHECKPOINTS` are kept
+  so a corrupt newest file falls back to its predecessor.
+* ``tail.log`` — one record per accepted batch in the event log's frame
+  (:func:`repro.storage.eventlog.encode_frame`), keyed by the stored row the
+  batch starts at, appended and fsynced *before* the batch mutates the
+  detector (write-ahead).  Recovery restores the newest intact snapshot and
+  replays the records from its row on through the normal ingestion path —
+  bit-identical to an uninterrupted run.  Each checkpoint compacts the tail
+  down to the records the oldest retained snapshot needs.
+* ``meta.json`` — the stream spec, written atomically (no CRC).
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import pickle
-import re
+import shutil
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -39,16 +34,17 @@ from typing import Any
 import numpy as np
 
 from repro.api import restore
-from repro.api.checkpoint import read_payload_file, write_payload_file
 from repro.api.protocol import iter_chunks
+from repro.storage.checkpoints import CheckpointIndex, segmenter_row, snapshot_row
+from repro.storage.chunkstore import write_json_atomic
+from repro.storage.eventlog import encode_frame, read_frame
 from repro.utils.exceptions import ConfigurationError, CorruptCheckpointError
 
 logger = logging.getLogger(__name__)
 
-#: Spool checkpoint envelope marker.
-SPOOL_FORMAT = "repro.spool/1"
-#: Checkpoint file name pattern (``n_seen`` zero-padded for lexical order).
-CHECKPOINT_NAME = re.compile(r"^checkpoint-(\d{12})\.ckpt$")
+#: Newest snapshots retained per stream: a corrupt newest one falls back to
+#: its predecessor.
+KEEP_CHECKPOINTS = 2
 
 
 @dataclass(frozen=True)
@@ -68,16 +64,12 @@ class DurabilityConfig:
     fsync:
         Fsync tail appends and checkpoint writes (disable only for tests
         where durability across host crashes is irrelevant).
-    keep_checkpoints:
-        Newest checkpoints retained per stream (>= 2 so a corrupt newest
-        file can fall back to its predecessor).
     """
 
     spool_dir: str | Path
     checkpoint_every_n: int = 2_048
     checkpoint_every_seconds: float | None = 30.0
     fsync: bool = True
-    keep_checkpoints: int = 2
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on out-of-range settings."""
@@ -85,16 +77,14 @@ class DurabilityConfig:
             raise ConfigurationError("checkpoint_every_n must be a positive integer")
         if self.checkpoint_every_seconds is not None and self.checkpoint_every_seconds <= 0:
             raise ConfigurationError("checkpoint_every_seconds must be positive or None")
-        if self.keep_checkpoints < 2:
-            raise ConfigurationError("keep_checkpoints must be >= 2 (corruption fallback)")
 
 
 class StreamSpool:
-    """The on-disk durability state of one stream."""
+    """The on-disk durability state of one stream, in ``directory``."""
 
-    def __init__(self, root: Path, name: str, *, fsync: bool = True) -> None:
-        self.directory = root / name
-        self.directory.mkdir(parents=True, exist_ok=True)
+    def __init__(self, directory: Path, *, fsync: bool = True) -> None:
+        self.directory = Path(directory)
+        self.checkpoints = CheckpointIndex(self.directory / "checkpoints", fsync=fsync)
         self.fsync = fsync
         self.tail_path = self.directory / "tail.log"
         self.meta_path = self.directory / "meta.json"
@@ -102,17 +92,6 @@ class StreamSpool:
         #: Bookkeeping for the checkpoint cadence.
         self.last_checkpoint_n = 0
         self.last_checkpoint_time = time.monotonic()
-        self.last_checkpoint_wall = time.time()
-
-    # ------------------------------------------------------------------ #
-    # metadata
-    # ------------------------------------------------------------------ #
-
-    def write_meta(self, meta: dict[str, Any]) -> None:
-        """Persist the stream's spec (detector, config, chunking) as JSON."""
-        tmp = self.meta_path.with_name(self.meta_path.name + ".tmp")
-        tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self.meta_path)
 
     # ------------------------------------------------------------------ #
     # write-ahead tail log
@@ -121,10 +100,7 @@ class StreamSpool:
     def append_tail(self, start: int, values: np.ndarray, seq: int | None) -> None:
         """Append one accepted batch *before* it is processed (write-ahead)."""
         record = {"start": int(start), "values": np.asarray(values), "seq": seq}
-        body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        frame = (
-            len(body).to_bytes(4, "big") + zlib.crc32(body).to_bytes(4, "big") + body
-        )
+        frame = encode_frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
         if self._tail_handle is None:
             self._tail_handle = self.tail_path.open("ab")
         self._tail_handle.write(frame)
@@ -141,97 +117,49 @@ class StreamSpool:
         """
         if not self.tail_path.exists():
             return []
-        raw = self.tail_path.read_bytes()
         records: list[dict[str, Any]] = []
-        offset = 0
-        while offset + 8 <= len(raw):
-            length = int.from_bytes(raw[offset : offset + 4], "big")
-            stored = int.from_bytes(raw[offset + 4 : offset + 8], "big")
-            body = raw[offset + 8 : offset + 8 + length]
-            if len(body) < length or zlib.crc32(body) != stored:
+        intact = 0
+        with self.tail_path.open("rb") as handle:
+            while (body := read_frame(handle)) is not None:
+                records.append(pickle.loads(body))
+                intact = handle.tell()
+            if intact < os.fstat(handle.fileno()).st_size:
                 logger.warning(
                     "tail log %s: corrupt/truncated record at byte %d; "
                     "keeping the %d valid records before it",
-                    self.tail_path, offset, len(records),
+                    self.tail_path, intact, len(records),
                 )
-                break
-            records.append(pickle.loads(body))
-            offset += 8 + length
         return records
 
     def compact_tail(self, min_start: int) -> None:
         """Atomically drop tail records that start before ``min_start``."""
         kept = [record for record in self.read_tail() if record["start"] >= min_start]
-        if self._tail_handle is not None:
-            self._tail_handle.close()
-            self._tail_handle = None
+        self.close()
         tmp = self.tail_path.with_name(self.tail_path.name + ".tmp")
         with tmp.open("wb") as handle:
             for record in kept:
-                body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-                handle.write(
-                    len(body).to_bytes(4, "big")
-                    + zlib.crc32(body).to_bytes(4, "big")
-                    + body
-                )
+                handle.write(encode_frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)))
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp, self.tail_path)
 
     # ------------------------------------------------------------------ #
-    # checkpoints
+    # snapshots
     # ------------------------------------------------------------------ #
 
-    def checkpoint_paths(self) -> list[tuple[int, Path]]:
-        """``(n_seen, path)`` of every checkpoint file, oldest first."""
-        found = []
-        for path in self.directory.iterdir():
-            match = CHECKPOINT_NAME.match(path.name)
-            if match:
-                found.append((int(match.group(1)), path))
-        return sorted(found)
-
-    def write_checkpoint(self, n_seen: int, envelope: dict[str, Any]) -> Path:
-        """Atomically persist one checkpoint; returns its path."""
-        path = self.directory / f"checkpoint-{n_seen:012d}.ckpt"
-        write_payload_file(path, envelope, fsync=self.fsync)
-        self.last_checkpoint_n = n_seen
+    def write_checkpoint(self, segmenter, *, detector: str, config: dict) -> Path:
+        """Snapshot a live detector into the checkpoint index; returns its path."""
+        path = self.checkpoints.add(segmenter, detector=detector, config=config)
+        self.last_checkpoint_n = int(segmenter.n_seen)
         self.last_checkpoint_time = time.monotonic()
-        self.last_checkpoint_wall = time.time()
         return path
 
-    def prune_checkpoints(self, keep: int) -> int:
-        """Delete all but the newest ``keep`` checkpoints; returns the oldest
-        retained ``n_seen`` (0 when no checkpoint exists)."""
-        paths = self.checkpoint_paths()
-        for _, path in paths[:-keep]:
-            path.unlink(missing_ok=True)
-        retained = paths[-keep:]
-        return retained[0][0] if retained else 0
-
-    def load_latest_checkpoint(self) -> tuple[int, dict[str, Any]]:
-        """The newest *valid* checkpoint envelope, falling back on corruption.
-
-        Raises
-        ------
-        CorruptCheckpointError
-            When no checkpoint file survives its integrity check.
-        """
-        paths = self.checkpoint_paths()
-        for n_seen, path in reversed(paths):
-            try:
-                envelope = read_payload_file(path)
-            except CorruptCheckpointError as error:
-                logger.error("checkpoint %s is corrupt (%s); trying predecessor", path, error)
-                continue
-            if envelope.get("format") != SPOOL_FORMAT:
-                logger.error("checkpoint %s has foreign format %r", path, envelope.get("format"))
-                continue
-            return n_seen, envelope
-        raise CorruptCheckpointError(
-            f"no valid checkpoint in {self.directory} ({len(paths)} file(s) tried)"
-        )
+    def clear(self) -> None:
+        """Delete every snapshot and the tail: a new stream starts clean."""
+        self.close()
+        self.checkpoints.clear()
+        self.tail_path.unlink(missing_ok=True)
 
     def close(self) -> None:
         """Release the tail file handle (the spool stays on disk)."""
@@ -242,7 +170,7 @@ class StreamSpool:
 
 @dataclass
 class RecoveryReport:
-    """What one stream's recovery did (returned by :meth:`DurabilityManager.restore`)."""
+    """What one stream's recovery did (returned by :meth:`DurabilityManager.recover`)."""
 
     stream: str
     checkpoint_n_seen: int
@@ -265,7 +193,8 @@ class DurabilityManager:
         config.validate()
         self.config = config
         self.root = Path(config.spool_dir)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.streams_dir = self.root / "streams"
+        self.streams_dir.mkdir(parents=True, exist_ok=True)
         self.faults = faults
         self._spools: dict[str, StreamSpool] = {}
 
@@ -274,7 +203,7 @@ class DurabilityManager:
         spool = self._spools.get(name)
         if spool is None:
             spool = self._spools[name] = StreamSpool(
-                self.root, name, fsync=self.config.fsync
+                self.streams_dir / name, fsync=self.config.fsync
             )
         return spool
 
@@ -283,9 +212,15 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
 
     def register(self, stream) -> None:
-        """Create the spool for a new stream: meta + a birth checkpoint."""
+        """Start a new stream's spool: meta + a birth checkpoint.
+
+        Clears what an earlier stream of the same name left (a graceful
+        shutdown keeps spools), so recovery never restores its detector.
+        """
         spool = self.spool_for(stream.name)
-        spool.write_meta(
+        spool.clear()
+        write_json_atomic(
+            spool.meta_path,
             {
                 "name": stream.name,
                 "detector": stream.detector,
@@ -293,15 +228,14 @@ class DurabilityManager:
                 "chunk_size": stream.chunk_size,
                 "include_scores": stream.include_scores,
                 "created_at": stream.created_at,
-            }
+            },
+            fsync=self.config.fsync,
         )
         self.checkpoint(stream)
 
     def log_batch(self, stream, values: np.ndarray, seq: int | None) -> None:
         """Write-ahead: persist an accepted batch before it is processed."""
-        self.spool_for(stream.name).append_tail(
-            int(stream.segmenter.n_seen), values, seq
-        )
+        self.spool_for(stream.name).append_tail(segmenter_row(stream.segmenter), values, seq)
 
     def maybe_checkpoint(self, stream) -> bool:
         """Checkpoint when the observation-count or wall-clock trigger fires."""
@@ -324,18 +258,15 @@ class DurabilityManager:
         if stream.segmenter is None:
             return None
         spool = self.spool_for(stream.name)
-        n_seen = int(stream.segmenter.n_seen)
-        envelope = {
-            "format": SPOOL_FORMAT,
-            "n_seen": n_seen,
-            "state": stream.segmenter.save_state(),
-            "last_seq": stream.last_seq,
-        }
-        path = spool.write_checkpoint(n_seen, envelope)
+        path = spool.write_checkpoint(
+            stream.segmenter, detector=stream.detector, config=stream.config
+        )
         if self.faults is not None:
             self.faults.corrupt_checkpoint(path, stream.name)
-        oldest_retained = spool.prune_checkpoints(self.config.keep_checkpoints)
-        spool.compact_tail(oldest_retained)
+        spool.checkpoints.prune(KEEP_CHECKPOINTS)
+        # a snapshot's stored row is never below its n_seen, so this floor
+        # keeps every record the oldest retained snapshot replays
+        spool.compact_tail(spool.checkpoints.positions()[0])
         return path
 
     def discard(self, name: str) -> None:
@@ -343,11 +274,9 @@ class DurabilityManager:
         spool = self._spools.pop(name, None)
         if spool is not None:
             spool.close()
-        directory = self.root / name
+        directory = self.streams_dir / name
         if directory.exists():
-            for path in directory.iterdir():
-                path.unlink(missing_ok=True)
-            directory.rmdir()
+            shutil.rmtree(directory)
 
     def checkpoint_age(self, name: str) -> float | None:
         """Seconds since the stream's last checkpoint (None if never)."""
@@ -361,30 +290,38 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
 
     def recover(self, stream) -> RecoveryReport:
-        """Rebuild a crashed stream: newest valid checkpoint + tail replay.
+        """Rebuild a crashed stream: newest intact snapshot + tail replay.
 
         The half-mutated in-memory detector is discarded.  Replay feeds the
-        tail records beyond the checkpoint through the stream's normal
-        chunked ingestion; events that were already published before the
-        crash are regenerated bit-identically but *not* re-published (the
-        ``n_acked`` frontier), so subscribers and the event log see exactly
-        the uninterrupted sequence.
+        tail records from the snapshot's stored row on through the stream's
+        normal chunked ingestion; events that were already published before
+        the crash are regenerated bit-identically but *not* re-published
+        (the ``n_acked`` frontier), so subscribers and the event log see
+        exactly the uninterrupted sequence.
+
+        Raises
+        ------
+        CorruptCheckpointError
+            When no snapshot of the stream survives its integrity check.
         """
         spool = self.spool_for(stream.name)
-        checkpoints = spool.checkpoint_paths()
-        ckpt_n, envelope = spool.load_latest_checkpoint()
-        fell_back = bool(checkpoints) and ckpt_n != checkpoints[-1][0]
+        envelope = spool.checkpoints.latest()
+        if envelope is None:
+            raise CorruptCheckpointError(f"no intact snapshot in {spool.checkpoints.directory}")
+        ckpt_n = int(envelope["n_seen"])
+        fell_back = ckpt_n != spool.checkpoints.positions()[-1]
+        anchor = snapshot_row(envelope)
         segmenter = restore(envelope["state"])
         published_until = stream.n_acked
         replayed = observations = republished = 0
         for record in spool.read_tail():
             start = record["start"]
-            if start < ckpt_n:
-                continue  # already inside the checkpoint
-            if start != int(segmenter.n_seen):
+            if start < anchor:
+                continue  # already inside the snapshot
+            if start != segmenter_row(segmenter):
                 logger.error(
-                    "tail replay gap on stream %r: record starts at %d, detector at %d",
-                    stream.name, start, int(segmenter.n_seen),
+                    "tail replay gap on stream %r: record starts at row %d, detector at %d",
+                    stream.name, start, segmenter_row(segmenter),
                 )
                 break
             values = record["values"]

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.api import ScoreEvent, create, event_from_dict
 from repro.service.errors import ServiceError, unknown_stream
+from repro.storage.checkpoints import segmenter_row
 from repro.storage.history import DEFAULT_HISTORY_WINDOW, StreamHistory
 from repro.utils.exceptions import ConfigurationError, HistoryTruncatedError, ReproError
 from repro.utils.parallel import shard_for_key
@@ -126,8 +127,10 @@ class StreamState:
     #: duplicate of ``last_seq`` replays ``last_ack`` instead of processing.
     last_seq: int | None = None
     last_ack: dict[str, Any] | None = None
-    #: Observation count up to which results have been published/acked; the
-    #: recovery replay republishes only events beyond this frontier.
+    #: Stored row (raw observation count, see
+    #: :func:`repro.storage.checkpoints.segmenter_row`) up to which results
+    #: have been published/acked; the recovery replay republishes only
+    #: batches from this frontier on.
     n_acked: int = 0
 
     @property
@@ -194,7 +197,7 @@ class StreamState:
         self.metrics.record(n_values, fresh, elapsed)
         payloads = [event.to_dict() for event in fresh]
         self.publish(payloads)
-        self.n_acked = int(segmenter.n_seen)
+        self.n_acked = segmenter_row(segmenter)
         ack: dict[str, Any] = {
             "name": self.name,
             "n_seen": int(segmenter.n_seen),

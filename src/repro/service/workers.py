@@ -266,8 +266,6 @@ class ShardWorker:
         stream.checkpoint = None
         stream.shard = self.shard
         stream.frozen = False
-        if self.durability is not None:
-            self.durability.checkpoint(stream)  # re-anchor the spool post-move
         return {
             "name": stream.name,
             "frozen": False,

@@ -1,8 +1,9 @@
 """Periodic detector-state snapshots for "re-segment from T".
 
 A :class:`CheckpointIndex` is a directory of CRC-framed checkpoint files
-(the same ``repro.api.checkpoint`` framing the CLI and the service spool
-use), one per snapshot, named by the observation count they were taken at::
+(the same ``repro.api.checkpoint`` framing the CLI uses), one per snapshot,
+named by the observation count they were taken at.  A stored stream and
+every durable service stream keep one::
 
     checkpoints/
         ckpt-000000000000.ckpt      # detector state after 0 observations
@@ -14,9 +15,11 @@ Each envelope also records the stored row the snapshot was taken at
 detector's ``n_seen`` lags the raw row count, and a replay must resume
 from the raw row.  ``load_at_or_before(t)`` walks newest-first and returns
 the first envelope taken at a row ``<= t`` — the replay anchor for
-:meth:`repro.storage.store.StreamStore.resegment`.  A corrupt file (torn
-write, bit rot) is skipped with a warning rather than failing the seek:
-losing one snapshot only means replaying a little more input.
+:meth:`repro.storage.store.StreamStore.resegment`; ``latest()`` returns the
+newest intact envelope, the anchor of the service's crash recovery.  A
+corrupt file (torn write, bit rot) is skipped with a warning rather than
+failing the seek: losing one snapshot only means replaying a little more
+input.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import logging
 import re
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.api.checkpoint import (
     detector_key_for,
@@ -49,6 +52,15 @@ def snapshot_row(envelope: dict[str, Any]) -> int:
     to ``n_seen``.
     """
     return int(envelope.get("n_seen_raw", envelope["n_seen"]))
+
+
+def segmenter_row(segmenter) -> int:
+    """Stored rows a live segmenter has read: what :func:`snapshot_row` records.
+
+    The raw row count of a dirty-data wrapper, else the detector's
+    ``n_seen``.
+    """
+    return int(getattr(segmenter, "n_seen_raw", segmenter.n_seen))
 
 
 class CheckpointIndex:
@@ -101,36 +113,46 @@ class CheckpointIndex:
         envelope: dict[str, Any] = {
             "format": INDEX_FORMAT,
             "n_seen": n_seen,
-            "n_seen_raw": int(getattr(segmenter, "n_seen_raw", n_seen)),
+            "n_seen_raw": segmenter_row(segmenter),
             "detector": detector if detector is not None else detector_key_for(segmenter),
             "config": config,
             "state": segmenter.save_state(),
         }
         return write_payload_file(self._path_for(n_seen), envelope, fsync=self.fsync)
 
-    def load_at_or_before(self, t: int) -> dict[str, Any] | None:
-        """Newest intact snapshot envelope taken at stored row ``<= t``, else ``None``.
+    def _intact(self, positions: list[int]) -> Iterator[dict[str, Any]]:
+        """Envelopes of the intact snapshots among ``positions``, newest first.
 
         Corrupt snapshot files are skipped (with a warning) — the caller
         just replays from an earlier anchor, or from the stream start.
         """
-        t = int(t)
-        if t < 0:
-            raise ConfigurationError("checkpoint position must be non-negative")
-        for n_seen in reversed(self.positions()):
-            if n_seen > t:  # the row is never below the detector's n_seen
-                continue
+        for n_seen in reversed(positions):
             path = self._path_for(n_seen)
             try:
                 envelope = read_payload_file(path)
             except (CorruptCheckpointError, OSError) as error:
                 logger.warning("skipping corrupt snapshot %s: %s", path, error)
                 continue
-            if not (isinstance(envelope, dict) and envelope.get("format") == INDEX_FORMAT):
+            if isinstance(envelope, dict) and envelope.get("format") == INDEX_FORMAT:
+                yield envelope
+            else:
                 logger.warning("skipping snapshot %s with unexpected format", path)
-            elif snapshot_row(envelope) <= t:
+
+    def load_at_or_before(self, t: int) -> dict[str, Any] | None:
+        """Newest intact snapshot envelope taken at stored row ``<= t``, else ``None``."""
+        t = int(t)
+        if t < 0:
+            raise ConfigurationError("checkpoint position must be non-negative")
+        # the row is never below the detector's n_seen
+        candidates = [n_seen for n_seen in self.positions() if n_seen <= t]
+        for envelope in self._intact(candidates):
+            if snapshot_row(envelope) <= t:
                 return envelope
         return None
+
+    def latest(self) -> dict[str, Any] | None:
+        """Newest intact snapshot envelope, whatever its stored row, else ``None``."""
+        return next(self._intact(self.positions()), None)
 
     def prune(self, keep: int) -> int:
         """Delete all but the newest ``keep`` snapshots; return how many went."""

@@ -1,7 +1,8 @@
 """Append-only CRC-framed event log with a sparse time index.
 
 One log is a single record file plus an optional ``<name>.idx`` sidecar of
-index hints.  Every record is framed::
+index hints.  Every record is framed by :func:`encode_frame` (little-endian;
+the service spool's write-ahead tail uses the same frame)::
 
     u32 body length | u32 CRC-32 of body | body (UTF-8 JSON)
 
@@ -44,6 +45,28 @@ _HEADER = struct.Struct("<II")
 INDEX_SUFFIX = ".idx"
 #: Default record interval between sparse-index hints.
 DEFAULT_INDEX_EVERY = 64
+
+
+def encode_frame(body: bytes) -> bytes:
+    """Frame one record: ``u32 length | u32 CRC-32 of body | body``, little-endian."""
+    return _HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
+def read_frame(handle) -> bytes | None:
+    """Read the next frame's body from a binary file handle.
+
+    Returns None at the end of the file and on a torn or corrupt frame (a
+    short header, a short body or a CRC mismatch); the handle's position
+    is then unspecified.
+    """
+    header = handle.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        return None
+    length, crc = _HEADER.unpack(header)
+    body = handle.read(length)
+    if len(body) < length or zlib.crc32(body) != crc:
+        return None
+    return body
 
 
 class EventLog:
@@ -145,18 +168,15 @@ class EventLog:
         """Read one frame; return ``(body, next_offset)`` or None when torn."""
         with self.path.open("rb") as handle:
             handle.seek(offset)
-            header = handle.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                return None
-            length, crc = _HEADER.unpack(header)
-            body = handle.read(length)
-        if len(body) < length or zlib.crc32(body) != crc:
+            body = read_frame(handle)
+            next_offset = handle.tell()
+        if body is None:
             return None
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
-        return payload, offset + _HEADER.size + length
+        return payload, next_offset
 
     def _scan_tail(self) -> int | None:
         """Walk records from the newest hint; return the torn offset, if any.
@@ -215,14 +235,14 @@ class EventLog:
         body = json.dumps(
             {"seq": seq, "at": at, "event": event}, separators=(",", ":"), sort_keys=True
         ).encode("utf-8")
+        frame = encode_frame(body)
         offset = self._end_offset
-        self._handle.write(_HEADER.pack(len(body), zlib.crc32(body)))
-        self._handle.write(body)
+        self._handle.write(frame)
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
         self._n_records = seq + 1
-        self._end_offset = offset + _HEADER.size + len(body)
+        self._end_offset = offset + len(frame)
         self._last_at = at
         if seq % self.index_every == 0:
             self._write_hint(seq, at, offset)

@@ -2,10 +2,10 @@
 
 The contract under test (``docs/fault-tolerance.rst``): **no acked
 observation is ever lost**.  Checkpoints are written atomically with a
-CRC-32 integrity frame; the write-ahead tail is fsynced before a batch
-mutates the detector; a truncated or corrupt tail record ends the scan
-without losing the valid prefix; a corrupt newest checkpoint falls back to
-its predecessor with a complete replay window.
+CRC-32 integrity frame into each stream's checkpoint index; the write-ahead
+tail is fsynced before a batch mutates the detector; a truncated or corrupt
+tail record ends the scan without losing the valid prefix; a corrupt newest
+checkpoint falls back to its predecessor with a complete replay window.
 """
 
 import asyncio
@@ -24,7 +24,8 @@ from repro.service import (
     ServiceClient,
     StreamRegistry,
 )
-from repro.service.durability import SPOOL_FORMAT, StreamSpool
+from repro.service.durability import StreamSpool
+from repro.storage.eventlog import encode_frame
 from repro.utils.exceptions import ConfigurationError, CorruptCheckpointError
 
 CONFIG = {"window_size": 200, "scoring_interval": 5}
@@ -83,7 +84,7 @@ class TestPayloadFileFraming:
 
 class TestStreamSpoolTail:
     def test_tail_round_trip(self, tmp_path):
-        spool = StreamSpool(tmp_path, "s1")
+        spool = StreamSpool(tmp_path / "s1")
         batches = [(_values(50, seed=i), i) for i in range(4)]
         start = 0
         for values, seq in batches:
@@ -95,8 +96,14 @@ class TestStreamSpoolTail:
         for record, (values, _) in zip(records, batches):
             np.testing.assert_array_equal(record["values"], values)
 
+    def test_tail_uses_the_event_log_frame(self, tmp_path):
+        spool = StreamSpool(tmp_path / "s1")
+        spool.append_tail(0, _values(5), 7)
+        raw = spool.tail_path.read_bytes()
+        assert raw == encode_frame(raw[8:])  # u32 length | u32 CRC-32, little-endian
+
     def test_corrupt_record_truncates_scan_keeping_valid_prefix(self, tmp_path):
-        spool = StreamSpool(tmp_path, "s1")
+        spool = StreamSpool(tmp_path / "s1")
         for i in range(3):
             spool.append_tail(i * 10, _values(10, seed=i), i)
         raw = bytearray(spool.tail_path.read_bytes())
@@ -106,7 +113,7 @@ class TestStreamSpoolTail:
         assert [record["seq"] for record in records] == [0, 1]
 
     def test_truncated_trailing_record_is_dropped(self, tmp_path):
-        spool = StreamSpool(tmp_path, "s1")
+        spool = StreamSpool(tmp_path / "s1")
         for i in range(2):
             spool.append_tail(i * 10, _values(10, seed=i), i)
         raw = spool.tail_path.read_bytes()
@@ -114,60 +121,55 @@ class TestStreamSpoolTail:
         assert [record["seq"] for record in spool.read_tail()] == [0]
 
     def test_compact_drops_records_before_min_start(self, tmp_path):
-        spool = StreamSpool(tmp_path, "s1")
+        spool = StreamSpool(tmp_path / "s1")
         for i in range(5):
             spool.append_tail(i * 100, _values(100, seed=i), i)
         spool.compact_tail(min_start=300)
         assert [record["start"] for record in spool.read_tail()] == [300, 400]
 
     def test_empty_tail_reads_empty(self, tmp_path):
-        assert StreamSpool(tmp_path, "fresh").read_tail() == []
+        assert StreamSpool(tmp_path / "fresh").read_tail() == []
 
 
 class TestStreamSpoolCheckpoints:
-    def _envelope(self, n_seen):
+    def _checkpoint(self, spool, n_seen):
         segmenter = api.create("class", api.ClaSSConfig(**CONFIG))
         if n_seen:
             segmenter.process(_values(n_seen))
-        return {
-            "format": SPOOL_FORMAT,
-            "n_seen": n_seen,
-            "state": segmenter.save_state(),
-            "last_seq": None,
-        }
+        return spool.write_checkpoint(segmenter, detector="class", config=CONFIG)
+
+    def test_snapshots_live_in_the_checkpoint_index(self, tmp_path):
+        spool = StreamSpool(tmp_path / "s1")
+        path = self._checkpoint(spool, 300)
+        assert path == tmp_path / "s1" / "checkpoints" / "ckpt-000000000300.ckpt"
+        assert spool.checkpoints.positions() == [300]
+        assert spool.last_checkpoint_n == 300
 
     def test_latest_valid_checkpoint_wins(self, tmp_path):
-        spool = StreamSpool(tmp_path, "s1")
+        spool = StreamSpool(tmp_path / "s1")
         for n in (0, 300, 600):
-            spool.write_checkpoint(n, self._envelope(n))
-        n_seen, envelope = spool.load_latest_checkpoint()
-        assert n_seen == 600 and envelope["n_seen"] == 600
+            self._checkpoint(spool, n)
+        assert spool.checkpoints.latest()["n_seen"] == 600
 
     def test_corrupt_newest_falls_back_to_predecessor(self, tmp_path):
-        spool = StreamSpool(tmp_path, "s1")
-        spool.write_checkpoint(300, self._envelope(300))
-        newest = spool.write_checkpoint(600, self._envelope(600))
+        spool = StreamSpool(tmp_path / "s1")
+        self._checkpoint(spool, 300)
+        newest = self._checkpoint(spool, 600)
         raw = bytearray(newest.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         newest.write_bytes(bytes(raw))
-        n_seen, envelope = spool.load_latest_checkpoint()
-        assert n_seen == 300
+        envelope = spool.checkpoints.latest()
+        assert envelope["n_seen"] == 300
         assert api.restore(envelope["state"]).n_seen == 300
 
     def test_all_corrupt_raises(self, tmp_path):
-        spool = StreamSpool(tmp_path, "s1")
-        path = spool.write_checkpoint(100, self._envelope(100))
+        manager = DurabilityManager(DurabilityConfig(tmp_path, fsync=False))
+        stream = StreamRegistry(1).create_stream("s1", {"config": CONFIG})
+        manager.register(stream)
+        (path,) = manager.spool_for("s1").checkpoints.directory.iterdir()
         path.write_bytes(b"garbage")
         with pytest.raises(CorruptCheckpointError):
-            spool.load_latest_checkpoint()
-
-    def test_prune_keeps_newest_and_reports_replay_floor(self, tmp_path):
-        spool = StreamSpool(tmp_path, "s1")
-        for n in (0, 100, 200, 300):
-            spool.write_checkpoint(n, self._envelope(0))
-        oldest_retained = spool.prune_checkpoints(keep=2)
-        assert oldest_retained == 200
-        assert [n for n, _ in spool.checkpoint_paths()] == [200, 300]
+            manager.recover(stream)
 
 
 class TestDurabilityManager:
@@ -186,9 +188,9 @@ class TestDurabilityManager:
     def test_register_writes_meta_and_birth_checkpoint(self, tmp_path):
         manager = self._manager(tmp_path)
         self._stream(manager)
-        spool_dir = tmp_path / "s1"
+        spool_dir = tmp_path / "streams" / "s1"
         assert (spool_dir / "meta.json").exists()
-        assert (spool_dir / "checkpoint-000000000000.ckpt").exists()
+        assert (spool_dir / "checkpoints" / "ckpt-000000000000.ckpt").exists()
 
     def test_observation_count_trigger(self, tmp_path):
         manager = self._manager(tmp_path, checkpoint_every_n=100)
@@ -197,7 +199,7 @@ class TestDurabilityManager:
         assert manager.maybe_checkpoint(stream) is False
         stream.segmenter.process(_values(60))
         assert manager.maybe_checkpoint(stream) is True  # 120 >= 100 since last
-        assert [n for n, _ in manager.spool_for("s1").checkpoint_paths()][-1] == 120
+        assert manager.spool_for("s1").checkpoints.positions()[-1] == 120
 
     def test_wall_clock_trigger_needs_progress(self, tmp_path):
         manager = self._manager(tmp_path, checkpoint_every_n=10**9,
@@ -211,7 +213,7 @@ class TestDurabilityManager:
         assert manager.maybe_checkpoint(stream) is True
 
     def test_checkpoint_prunes_and_compacts_to_fallback_window(self, tmp_path):
-        manager = self._manager(tmp_path, checkpoint_every_n=100, keep_checkpoints=2)
+        manager = self._manager(tmp_path, checkpoint_every_n=100)
         stream = self._stream(manager)
         for i in range(4):
             values = _values(100, seed=i)
@@ -220,8 +222,7 @@ class TestDurabilityManager:
             stream.last_seq = i
             manager.maybe_checkpoint(stream)
         spool = manager.spool_for("s1")
-        retained = [n for n, _ in spool.checkpoint_paths()]
-        assert retained == [300, 400]
+        assert spool.checkpoints.positions() == [300, 400]
         # the tail still covers everything past the *oldest* retained
         # checkpoint, so corrupt-newest fallback has a complete window
         assert [record["start"] for record in spool.read_tail()] == [300]
@@ -235,9 +236,65 @@ class TestDurabilityManager:
     def test_discard_removes_spool(self, tmp_path):
         manager = self._manager(tmp_path)
         self._stream(manager)
-        assert (tmp_path / "s1").exists()
+        assert (tmp_path / "streams" / "s1").exists()
         manager.discard("s1")
-        assert not (tmp_path / "s1").exists()
+        assert not (tmp_path / "streams" / "s1").exists()
+
+    def test_register_clears_a_spool_left_by_an_earlier_run(self, tmp_path):
+        """Two managers on one spool dir: a graceful shutdown leaves the first
+        run's spool behind, and the new stream of the same name must recover
+        its own detector, not the old one."""
+        earlier = self._manager(tmp_path)
+        old = self._stream(earlier)
+        for i in range(3):
+            values = _values(100, seed=i)
+            earlier.log_batch(old, values, seq=i)
+            old.segmenter.process(values)
+            earlier.maybe_checkpoint(old)
+        earlier.checkpoint(old)  # the shutdown checkpoint
+        earlier.spool_for("s1").close()
+
+        manager = self._manager(tmp_path)
+        stream = self._stream(manager)
+        values = _values(30, seed=9)
+        manager.log_batch(stream, values, seq=0)
+        stream.segmenter.process(values[:10])  # crash mid-batch
+        report = manager.recover(stream)
+        assert report.checkpoint_n_seen == 0 and report.fell_back is False
+        assert int(stream.segmenter.n_seen) == 30
+        assert manager.spool_for("s1").checkpoints.positions() == [0]
+        assert [record["seq"] for record in manager.spool_for("s1").read_tail()] == [0]
+
+    def test_recovery_skips_a_dropped_batch_inside_the_snapshot(self, tmp_path):
+        """Tail records are keyed by stored row: a batch a skip policy dropped
+        whole leaves ``n_seen`` where it was, yet lies inside a snapshot
+        taken after it and must not be replayed twice."""
+        policy = {"nan_policy": "skip"}
+        values = _values(1_200, seed=4)
+        batches = [values[:300], np.full(50, np.nan), values[300:600], values[600:]]
+        offline = api.create("class", {**CONFIG, "data_policy": policy})
+        for batch in batches:
+            offline.process(batch)
+
+        manager = self._manager(tmp_path, checkpoint_every_n=10**9,
+                                checkpoint_every_seconds=1.0)
+        stream = StreamRegistry(1).create_stream(
+            "s1", {"config": CONFIG, "data_policy": policy}
+        )
+        manager.register(stream)
+        for seq, batch in enumerate(batches[:2]):
+            manager.log_batch(stream, batch, seq)
+            stream.segmenter.process(batch)
+            stream.commit_batch(stream.segmenter, len(batch), 0.0, seq)
+        manager.spool_for("s1").last_checkpoint_time -= 10.0  # clock trigger due
+        assert manager.maybe_checkpoint(stream) is True  # n_seen 300, row 350
+        manager.log_batch(stream, batches[2], 2)
+        stream.segmenter.process(batches[2][:100])  # crash mid-batch
+        report = manager.recover(stream)
+        assert report.checkpoint_n_seen == 300 and report.n_replayed_batches == 1
+        assert stream.segmenter.n_seen_raw == 650
+        stream.segmenter.process(batches[3])
+        assert stream.segmenter.events() == offline.events()
 
     def test_checkpoint_age_reporting(self, tmp_path):
         manager = self._manager(tmp_path)
@@ -253,12 +310,10 @@ class TestDurabilityConfigValidation:
             DurabilityConfig(tmp_path, checkpoint_every_n=0).validate()
         with pytest.raises(ConfigurationError):
             DurabilityConfig(tmp_path, checkpoint_every_seconds=-1.0).validate()
-        with pytest.raises(ConfigurationError):
-            DurabilityConfig(tmp_path, keep_checkpoints=1).validate()
 
     def test_manager_validates_on_construction(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            DurabilityManager(DurabilityConfig(tmp_path, keep_checkpoints=0))
+            DurabilityManager(DurabilityConfig(tmp_path, checkpoint_every_n=0))
 
 
 class TestGracefulShutdown:
@@ -290,7 +345,7 @@ class TestGracefulShutdown:
         for name in ("a", "b"):
             spool = service.durability.spool_for(name)
             # the final checkpoint pins the full 500 acked observations
-            assert [n for n, _ in spool.checkpoint_paths()][-1] == 500
+            assert spool.checkpoints.positions()[-1] == 500
 
     def test_draining_service_sheds_intake_with_typed_503(self, tmp_path):
         async def scenario():
@@ -345,4 +400,4 @@ class TestGracefulShutdown:
 
         service = asyncio.run(scenario())
         spool = service.durability.spool_for("sig")
-        assert [n for n, _ in spool.checkpoint_paths()][-1] == 300
+        assert spool.checkpoints.positions()[-1] == 300

@@ -176,6 +176,115 @@ class TestCrashRecoveryBitIdentity:
         assert report.checkpoint_n_seen == 300
         assert report.n_replayed_observations >= 2 * BATCH
 
+    def test_kill_mid_batch_on_the_adopting_shard_replays_across_the_move(self, tmp_path):
+        """A move writes no checkpoint: the spool is keyed by stream name, and
+        its tail holds every batch since the oldest retained snapshot.  With
+        no checkpoint since birth, a crash in the adopting shard's first
+        batch replays the whole tail across the move — still bit-identical."""
+        values = _dataset(seed=8)
+        offline = _offline_events(values)
+
+        async def scenario():
+            faults = FaultInjector()
+            service = SegmentationService(
+                n_shards=2,
+                durability=DurabilityConfig(
+                    spool_dir=tmp_path / "spool",
+                    checkpoint_every_n=10**9,
+                    checkpoint_every_seconds=None,
+                    fsync=False,
+                ),
+                faults=faults,
+            )
+            await service.start(port=0)
+            client = await ServiceClient(
+                "127.0.0.1", service.port, retry=RetryPolicy(backoff=0.02)
+            ).connect()
+            try:
+                status, body = await client.request(
+                    "POST", "/streams/mv",
+                    {"detector": "class", "config": CONFIG, "chunk_size": CHUNK},
+                )
+                assert status == 201, body
+                target = 1 - service.registry.get("mv").shard
+                for seq, start in enumerate(range(0, len(values), BATCH)):
+                    if seq == 2:
+                        status, body = await client.request(
+                            "POST", "/streams/mv/rebalance", {"shard": target}
+                        )
+                        assert status == 200, body
+                        faults.arm("kill-mid-batch", shard=target, stream="mv")
+                    status, body = await client.request(
+                        "POST", "/streams/mv/observations",
+                        {"values": values[start : start + BATCH].tolist(), "seq": seq},
+                    )
+                    assert status == 200, body
+                status, body = await client.request("GET", "/streams/mv/events?since=0")
+                assert status == 200
+                return body["events"], service.supervisor.recoveries, faults.fired, target
+            finally:
+                await client.close()
+                await service.stop()
+
+        events, recoveries, fired, target = asyncio.run(scenario())
+        assert ("kill-mid-batch", target, "mv") in fired
+        assert events == offline
+        (report,) = recoveries
+        assert report.checkpoint_n_seen == 0  # birth: the move wrote no checkpoint
+        assert report.n_replayed_observations == 3 * BATCH
+        assert report.fell_back is False
+
+    def test_kill_mid_batch_under_a_skip_policy_recovers_from_the_newest_snapshot(
+        self, tmp_path
+    ):
+        """A skip policy drops rows, so the newest snapshot's stored row lies
+        beyond its ``n_seen``: recovery still anchors on it, not on an older
+        one, and replays only the crashed batch."""
+        policy = {"nan_policy": "skip"}
+        values = _dataset(seed=9)
+        values[100:120] = np.nan  # 20 rows of batch 0 are dropped
+        segmenter = api.create("class", {**CONFIG, "data_policy": policy})
+        offline = [
+            json.loads(json.dumps(event.to_dict()))
+            for event in api.stream(segmenter, values, chunk_size=CHUNK)
+        ]
+
+        async def scenario():
+            faults = FaultInjector()
+            # mid-batch hooks fire twice per batch: after=5 crashes batch 2,
+            # after the snapshot batch 1 triggered (n_seen 580, row 600)
+            faults.arm("kill-mid-batch", stream="sk", after=5)
+            service = _service(tmp_path, faults)
+            await service.start(port=0)
+            client = await ServiceClient(
+                "127.0.0.1", service.port, retry=RetryPolicy(backoff=0.02)
+            ).connect()
+            try:
+                status, body = await client.request(
+                    "POST", "/streams/sk",
+                    {"config": CONFIG, "chunk_size": CHUNK, "data_policy": policy},
+                )
+                assert status == 201, body
+                for seq, start in enumerate(range(0, len(values), BATCH)):
+                    status, body = await client.request(
+                        "POST", "/streams/sk/observations",
+                        {"values": values[start : start + BATCH].tolist(), "seq": seq},
+                    )
+                    assert status == 200, body
+                status, body = await client.request("GET", "/streams/sk/events?since=0")
+                assert status == 200
+                return body["events"], service.supervisor.recoveries
+            finally:
+                await client.close()
+                await service.stop()
+
+        events, recoveries = asyncio.run(scenario())
+        assert events == offline
+        (report,) = recoveries
+        assert report.checkpoint_n_seen == 2 * BATCH - 20
+        assert report.fell_back is False
+        assert report.n_replayed_observations == BATCH
+
     def test_hung_job_trips_deadline_and_restarts(self, tmp_path):
         """A job delayed past the per-job deadline counts as a hang: the
         worker is declared dead, restarted, and the batch retried."""

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import SegmentationService, ServiceClient
+from repro.service import DurabilityConfig, SegmentationService, ServiceClient
 from repro.service.streams import StreamRegistry
 from repro.storage import StreamHistory
 from repro.utils.exceptions import ConfigurationError, HistoryTruncatedError
@@ -204,5 +204,28 @@ class TestServiceBoundedHistory:
         _run(
             _with_service(
                 scenario, history_window=4, history_dir=str(tmp_path / "history")
+            )
+        )
+
+    def test_stream_named_history_keeps_other_spills(self, tmp_path):
+        """With a spool, streams live under ``<spool>/streams/``: deleting a
+        stream named ``history`` leaves every stream's spill under
+        ``<spool>/history`` alone."""
+
+        async def scenario(client, service):
+            seen = await _ingest_events(client)
+            status, _ = await client.request("POST", "/streams/history", {})
+            assert status == 201
+            status, _ = await client.request("DELETE", "/streams/history")
+            assert status == 200
+            status, body = await client.request("GET", "/streams/s1/events?since=0")
+            assert status == 200
+            assert body["events"] == seen
+
+        _run(
+            _with_service(
+                scenario,
+                history_window=4,
+                durability=DurabilityConfig(spool_dir=tmp_path, fsync=False),
             )
         )
