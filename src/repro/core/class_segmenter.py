@@ -30,6 +30,16 @@ that reach it, which hold the profile's best split whenever its score
 reaches the threshold.  The full profile of a gated pass is computed only
 if :attr:`ClaSS.last_profile` or :attr:`ClaSS.current_score` is read.
 
+At the paper's window sizes one stream runs on two cores: once the window
+is live, a long ``process`` call forks a scorer process
+(:mod:`repro.core.scorer_link`) that runs the scoring half against a
+mirror of the k-NN's thresholds, while the caller's process steps the
+k-NN; a short call stops it again.  Each call ends drained, so
+:meth:`ClaSS.events`, the reports and :meth:`ClaSS.save_state` are
+current after it, and every output is bit-identical to scoring
+in-process.  Eligibility is read from the window, the call's length and
+the host, never from an option.
+
 Typical use::
 
     from repro import ClaSS
@@ -56,6 +66,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.core import scorer_link
 from repro.core.cross_val import (
     breakpoints_from_thresholds,
     cross_val_scores_from_thresholds,
@@ -72,7 +83,7 @@ from repro.core.significance import (
 )
 from repro.core.streaming_knn import StreamingKNN, require_finite
 from repro.core.window_size import learn_subsequence_width
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.exceptions import ConfigurationError, ScorerProcessError
 from repro.utils.validation import check_positive_int
 
 #: Default sliding window size found robust across domains in the paper (§3.5).
@@ -289,6 +300,11 @@ class ClaSS:
         self._warmup_end: int | None = None
         # the gate's histograms: derived from the k-NN, never saved
         self._histograms = BreakpointHistograms()
+        # the scorer process's link while one scores this stream; a lost
+        # scorer keeps the stream in-process, one lost mid-call fails it closed
+        self._scorer: scorer_link.ScorerLink | None = None
+        self._scorer_lost = False
+        self._scorer_failure: str | None = None
 
     # ------------------------------------------------------------------ #
     # properties
@@ -320,8 +336,12 @@ class ClaSS:
 
         A pass the score-threshold gate pruned or scored only in part is
         scored in full here, on the first read, with the same kernel and the
-        same result.
+        same result.  While a scorer process scores the stream, the profile
+        is fetched from it with one request.
         """
+        self._check_scorer()
+        if self._scorer is not None:
+            return self._fetch_profile()
         if isinstance(self._last_profile, functools.partial):
             self._last_profile = self._last_profile()
         return self._last_profile
@@ -376,6 +396,11 @@ class ClaSS:
         ConfigurationError
             If a value is NaN or infinite; the whole call is checked before
             any state changes, the warm-up buffer included.
+        ScorerProcessError
+            If the scorer process was lost.  Found dead before the call, it
+            leaves the detector at its last drained state, which scores
+            in-process from then on; dead during the call, it fails the
+            detector closed until :meth:`load_state`.
         """
         values = np.asarray(values, dtype=np.float64).ravel()
         require_finite(values)
@@ -383,9 +408,11 @@ class ClaSS:
             chunk_size = DEFAULT_CHUNK_SIZE
         else:
             chunk_size = check_positive_int(chunk_size, "chunk_size")
+        self._check_scorer()
         detected: list[int] = []
         n = values.shape[0]
         position = 0
+        first_step = True
         while position < n:
             if self._knn is None:
                 # warm-up: buffer until the subsequence width can be learned.
@@ -406,9 +433,18 @@ class ClaSS:
                 if change_point is not None:
                     detected.append(change_point)
                 continue
+            self._choose_scoring_path(n - position, first_step)
+            first_step = False
             take = min(chunk_size, n - position)
-            self._ingest_and_score(values[position : position + take], detected)
+            try:
+                self._ingest_and_score(values[position : position + take], detected)
+            except BaseException as error:
+                if self._scorer is not None:
+                    self._fail_closed(error)
+                raise
             position += take
+        if self._scorer is not None:
+            detected += self._drain()
         return np.asarray(detected, dtype=np.int64)
 
     def finalise(self) -> np.ndarray:
@@ -419,6 +455,7 @@ class ClaSS:
         buffered and the buffered prefix is scored once.  Returns all change
         points detected so far.
         """
+        self._check_scorer()
         if self._knn is None and self._prefix:
             try:
                 self._initialise_from_prefix()
@@ -429,6 +466,7 @@ class ClaSS:
 
     def score_now(self) -> ClaSPProfile | None:
         """Force a full scoring pass outside the regular interval (for inspection)."""
+        self._stop_scorer()
         if self._knn is None:
             return None
         self._maybe_score(force=True)
@@ -449,6 +487,7 @@ class ClaSS:
         and the original warm-up event are preserved, keeping the
         :meth:`events` log append-only.
         """
+        self._stop_scorer()
         self._prefix = []
         self._knn = None
         self._width = self.subsequence_width
@@ -478,6 +517,7 @@ class ClaSS:
         """
         from repro.api.events import ChangePointEvent, WarmupEvent
 
+        self._check_scorer()
         events: list = []
         if self._warmup_end is not None:
             width = None if self._width is None else int(self._width)
@@ -509,6 +549,7 @@ class ClaSS:
         """
         from repro.api.checkpoint import state_payload
 
+        self._check_scorer()
         state = {
             "n_seen": self._n_seen,
             "prefix": list(self._prefix),
@@ -530,6 +571,8 @@ class ClaSS:
         # the live segmenter untouched
         state = checked_state(self, payload)
         config = ClaSSConfig.from_dict(payload.get("config", {})).validate()
+        if self._scorer is not None:
+            self._drop_scorer()
         self._configure(config)
         self._reset_runtime_state()
         self._prefix = list(state["prefix"])
@@ -544,6 +587,124 @@ class ClaSS:
         if state["knn"] is not None:
             self._knn = self._new_knn(int(self._width))
             self._knn.load_state_dict(state["knn"])
+
+    def __getstate__(self) -> dict:
+        """Pickle support: a scorer process stops first, and its link stays behind."""
+        self._stop_scorer()
+        state = self.__dict__.copy()
+        state["_scorer"] = None
+        return state
+
+    # ------------------------------------------------------------------ #
+    # the scorer process
+    # ------------------------------------------------------------------ #
+
+    def _check_scorer(self) -> None:
+        """Raise :class:`ScorerProcessError` if the detector failed closed or its scorer died."""
+        if self._scorer_failure is not None:
+            raise ScorerProcessError(self._scorer_failure)
+        if self._scorer is not None and not self._scorer.alive():
+            self._drop_scorer(lost=True)
+            raise ScorerProcessError(
+                "the scorer process died between calls; the detector stays at its "
+                "last drained state and scores in-process from now on"
+            )
+
+    def _choose_scoring_path(self, remaining: int, first_step: bool) -> None:
+        """Before a chunk steps the live k-NN: fork a scorer or stop one.
+
+        A call too short for a scorer to pay off
+        (:func:`repro.core.scorer_link.pays_off`) stops a running one at its
+        first chunk; any chunk that finds the stream eligible forks one (the
+        window fills up mid-call).  A host that cannot fork keeps the stream
+        in-process for good.
+        """
+        if self._scorer is not None:
+            if first_step and not scorer_link.pays_off(self, remaining):
+                self._stop_scorer()
+        elif not self._scorer_lost and scorer_link.eligible(self, remaining):
+            link = scorer_link.start(self)
+            if link is None:
+                self._scorer_lost = True
+            else:
+                self._scorer = link
+                self._last_profile = None  # the scorer's from now on
+
+    def _drain(self) -> list[int]:
+        """Bring the scorer's new reports, region offset and RNG state home.
+
+        Returns the change points it detected since the last drain.  An
+        exception it raised stops it and is re-raised here.
+        """
+        try:
+            detected, reports, offset, rng_state, error = self._scorer.request(scorer_link.DRAIN)
+        except BaseException as failure:
+            self._fail_closed(failure)
+            raise
+        self._state.reports += reports
+        self._state.last_change_point_offset = offset
+        self.significance.set_rng_state(rng_state)
+        if error is not None:
+            self._drop_scorer()
+            raise error
+        return detected
+
+    def _fetch_profile(self) -> ClaSPProfile | None:
+        """The scorer's last profile, with one request between calls.
+
+        Any exception cuts the reply off, so the link is dropped as lost:
+        the scoring state was drained at the last call's end, only the
+        profile is gone.
+        """
+        try:
+            return self._scorer.request(scorer_link.PROFILE)
+        except BaseException:
+            self._drop_scorer(lost=True)
+            raise
+
+    def _stop_scorer(self) -> None:
+        """Fetch the scorer's profile, stop it and score in-process (its state is drained)."""
+        self._check_scorer()
+        if self._scorer is not None:
+            profile = self._fetch_profile()
+            self._drop_scorer()
+            self._last_profile = profile
+
+    def _drop_scorer(self, lost: bool = False, failure: str | None = None) -> None:
+        """Close the scorer's link and score in-process from here.
+
+        The histograms are derived state the scorer kept: they restart.  A
+        ``lost`` scorer keeps the stream in-process for good and takes the
+        last profile with it; a ``failure`` fails the detector closed until
+        :meth:`load_state`.  Either way the scorer's state is not needed, so
+        it is killed rather than left to score what it has queued.
+        """
+        self._scorer.close(kill=lost or failure is not None)
+        self._scorer = None
+        self._histograms.reset()
+        if lost:
+            self._scorer_lost = True
+            self._last_profile = None
+        if failure is not None:
+            self._scorer_failure = failure
+
+    def _fail_closed(self, error: BaseException) -> None:
+        """Drop a scorer lost during a call and fail the detector closed.
+
+        Its scoring state is gone, and a call cut short by any other
+        exception (``KeyboardInterrupt`` say) leaves the pipes out of step
+        too.  A lost scorer raises :class:`ScorerProcessError` from here;
+        the caller re-raises any other exception itself.
+        """
+        reason = "died" if isinstance(error, ScorerProcessError) else "was cut off"
+        self._drop_scorer(
+            failure=(
+                f"the scorer process {reason} during a call ({error!r}); the detector "
+                "failed closed until load_state"
+            )
+        )
+        if isinstance(error, ScorerProcessError):
+            raise ScorerProcessError(self._scorer_failure) from error
 
     # ------------------------------------------------------------------ #
     # internals
@@ -583,9 +744,12 @@ class ClaSS:
         Evictions since the last pause shift the unsegmented region left.
         When a change point makes ``relearn_width`` rebuild the k-NN, the old
         generator is closed and the rest of the run goes to the new k-NN.
-        Appends the detected change points to ``detected``.
+        Appends the detected change points to ``detected``.  While a scorer
+        process scores the stream, each pause is handed to it as a record
+        instead: it slides the region and scores.
         """
         interval = self.scoring_interval
+        link = self._scorer
         n = values.shape[0]
         position = 0
         while position < n:
@@ -602,6 +766,9 @@ class ClaSS:
                 ahead = 0
                 self._n_seen += take
                 position += take
+                if link is not None:
+                    link.step(knn, self._n_seen)
+                    continue
                 slid = knn.n_evicted - evicted
                 if slid:
                     # the window slid: the unsegmented region moved left
@@ -701,10 +868,12 @@ class ClaSS:
         """The splits the pass must score exactly; None if the pass is not bounded.
 
         Only regions of at least :data:`PRUNE_MIN_SPLITS` splits are
-        bounded.  The histograms are brought up to the region first, which
-        also keeps a copy of its thresholds, and bound it block by block: a
-        pass none of whose blocks reaches the threshold is pruned (no
-        splits), else the splits of the blocks that reach it are returned.
+        bounded.  The histograms are brought up to the region first, from
+        the rows the k-NN logged as written since the last bounded pass,
+        which also keeps a copy of its thresholds, and bound it block by
+        block: a pass none of whose blocks reaches the threshold is pruned
+        (no splits), else the splits of the blocks that reach it are
+        returned.
         A gated pass leaves in ``_last_profile`` a partial that scores it in
         full from that copy on the first read of :attr:`last_profile`.
         """
@@ -713,7 +882,8 @@ class ClaSS:
         high = m - low
         if high - low + 1 < PRUNE_MIN_SPLITS:
             return None
-        thresholds = self._histograms.update(region.thresholds, region.offset)
+        changed = self._knn.drain_changed_rows()
+        thresholds = self._histograms.update(region.thresholds, region.offset, changed)
         edges = self._histograms.block_edges(low, high)
         reach = split_score_bound(*edges, m, self.score) >= self.score_threshold - PRUNE_MARGIN
         splits = _splits_of_blocks(edges[0][reach], edges[1][reach]) if reach.any() else _NO_SPLITS

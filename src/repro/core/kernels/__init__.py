@@ -64,6 +64,8 @@ class KernelBackend:
     arguments of :func:`repro.core.similarity.get_similarity_from_stats`'s
     rows: ``(dots, w_means, w_stds, query_mean, query_std, w, comps,
     query_comp, floored=False)``, the statistics scaled by the width.
+    ``insert_newest`` returns the rows it patched, ascending, as an int64
+    array: the k-NN logs them as rows whose threshold it wrote.
     """
 
     name: str = "abstract"
@@ -161,7 +163,7 @@ class LoopKernels(KernelBackend):
         return self._impl.rank_smallest(values, rank)
 
     def insert_newest(self, indices, sims, worst, thresholds, candidate_sims, newest_global, rank):
-        self._impl.insert_newest(
+        return self._impl.insert_newest(
             indices, sims, worst, thresholds, candidate_sims, newest_global, rank
         )
 

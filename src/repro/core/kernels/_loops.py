@@ -166,14 +166,19 @@ def insert_newest(indices, sims, worst, thresholds, candidate_sims, newest_globa
     mutated in place.  The insertion position is the number of stored
     neighbours strictly better than the candidate — identical to the
     ``searchsorted`` of the numpy reference — and each patched row refreshes
-    its cached worst similarity and prediction threshold.
+    its cached worst similarity and prediction threshold.  Returns the
+    patched rows, ascending.
     """
     eligible = candidate_sims.shape[0]
     k = sims.shape[1]
+    patched = np.empty(eligible, dtype=np.int64)
+    n_patched = 0
     for row in range(eligible):
         value = candidate_sims[row]
         if not (value > worst[row]):
             continue
+        patched[n_patched] = row
+        n_patched += 1
         position = 0
         while position < k and sims[row, position] > value:
             position += 1
@@ -198,6 +203,7 @@ def insert_newest(indices, sims, worst, thresholds, candidate_sims, newest_globa
             buffer[i] = buffer[smallest]
             buffer[smallest] = swap
         thresholds[row] = buffer[rank]
+    return patched[:n_patched]
 
 
 def fused_split_scores(score_code, pred_zero_from, splits, n_subsequences):

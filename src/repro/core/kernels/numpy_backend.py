@@ -82,11 +82,11 @@ def insert_newest(indices, sims, worst, thresholds, candidate_sims, newest_globa
     one by one on Python lists: the candidate goes before the first stored
     entry that is not strictly better (the rule of the loop kernels) and the
     last entry falls off.  More rows take one vectorised shift-and-mask patch
-    over all beaten rows at once.
+    over all beaten rows at once.  Returns the patched rows, ascending.
     """
     rows = (candidate_sims > worst).nonzero()[0]
     if rows.shape[0] == 0:
-        return
+        return rows
     if rows.shape[0] <= LIST_PATCH_ROWS:
         for row, value in zip(rows.tolist(), candidate_sims[rows].tolist()):
             row_sims = sims[row].tolist()
@@ -102,7 +102,7 @@ def insert_newest(indices, sims, worst, thresholds, candidate_sims, newest_globa
             indices[row] = row_idx
             worst[row] = row_sims[-1]
             thresholds[row] = sorted(row_idx)[rank]
-        return
+        return rows
     k = sims.shape[1]
     values = candidate_sims[rows]
     beaten_sims = sims[rows]
@@ -123,3 +123,4 @@ def insert_newest(indices, sims, worst, thresholds, candidate_sims, newest_globa
     indices[rows] = patched_idx
     worst[rows] = patched[:, -1]
     thresholds[rows] = np.partition(patched_idx, rank, axis=1)[:, rank]
+    return rows

@@ -211,17 +211,19 @@ class BreakpointHistograms:
     straight off the prefix sums.  They are float64, which holds the
     integer counts exactly, so the bound never casts them.
 
-    :meth:`update` compares the region's live thresholds with its copy from
-    the last update and moves only the rows whose threshold changed, that
-    joined the region or that left it; only a few move per scoring pass, as
-    the newest subsequence beats a handful of rows.  A row moving from bin
-    ``p`` to bin ``q > p`` leaves the prefix sums ``p .. q - 1`` (one less
-    each), one moving down enters them, and one staying in its bin changes
-    nothing; a row that joined adds 1 to every sum from its bin on, one that
-    left subtracts it.  A region that jumped (a change point), lost its
-    overlap with the copy or outgrew the bins is counted afresh.  The
-    instance holds derived state only: :meth:`reset` it whenever the
-    subsequence ids restart (a new k-NN).
+    :meth:`update` moves only the rows that left the region, that joined it,
+    or that the k-NN logged as written since the last update
+    (:meth:`repro.core.streaming_knn.StreamingKNN.drain_changed_rows`) and
+    whose threshold differs from the copy the last update kept; only a few
+    move per scoring pass, as the newest subsequence beats a handful of
+    rows.  A row moving from bin ``p`` to bin ``q > p`` leaves the prefix
+    sums ``p .. q - 1`` (one less each), one moving down enters them, and
+    one staying in its bin changes nothing; a row that joined adds 1 to
+    every sum from its bin on, one that left subtracts it.  A region that
+    jumped (a change point), lost its overlap with the copy or outgrew the
+    bins, or an overflowed log, is counted afresh.  The instance holds
+    derived state only: :meth:`reset` it whenever the subsequence ids
+    restart (a new k-NN).
     """
 
     #: Most moved rows updated one by one; more are counted afresh.  On a
@@ -243,24 +245,27 @@ class BreakpointHistograms:
         self.origin = 0
         self.prefix = np.zeros((2, 0), dtype=np.float64)
 
-    def update(self, thresholds: np.ndarray, offset: int) -> np.ndarray:
+    def update(self, thresholds: np.ndarray, offset: int, changed: list[int] | None) -> np.ndarray:
         """Count the region ``thresholds`` of ids ``offset ..``; return a copy of them.
 
-        The returned copy is fresh on every call and never written again,
-        so a caller may keep it as the pass's thresholds.
+        ``changed`` holds the global id of every row whose threshold was
+        written since the last update (repeats, rows outside the region and
+        unchanged values allowed), or None to count the region afresh.  The
+        returned copy is fresh on every call and never written again, so a
+        caller may keep it as the pass's thresholds.
         """
         old, m = self.thresholds, thresholds.shape[0]
         start = offset - self.offset  # rows of the copy that left the region
         kept = -1 if old is None else old.shape[0] - start
         top = ((offset + m - 1) >> _BOUND_BLOCK_BITS) - self.origin
-        if start < 0 or not 0 < kept <= m or top >= self.prefix.shape[1]:
+        if (
+            changed is None
+            or start < 0
+            or not 0 < kept <= m
+            or top >= self.prefix.shape[1]
+            or not self._move(thresholds, offset, start, kept, changed)
+        ):
             self._count(thresholds, offset)
-        else:
-            changed = np.flatnonzero(thresholds[:kept] != old[start:])
-            if start + changed.shape[0] + m - kept > self.MAX_MOVES:
-                self._count(thresholds, offset)
-            else:
-                self._move(thresholds, offset, start, kept, changed.tolist())
         self.thresholds = thresholds.copy()
         self.offset = offset
         return self.thresholds
@@ -306,22 +311,33 @@ class BreakpointHistograms:
             np.cumsum(np.bincount(bins, minlength=n_bins), out=self.prefix[row])
 
     def _move(
-        self, thresholds: np.ndarray, offset: int, start: int, kept: int, changed: list
-    ) -> None:
+        self, thresholds: np.ndarray, offset: int, start: int, kept: int, changed: list[int]
+    ) -> bool:
         """Move the rows that left, changed or joined, one by one in Python ints.
 
-        A moved row is ``(old threshold, row id, new threshold)``, None on
-        the side where it is outside the region: there it sits in bin
-        ``n_bins``, past every sum.  Each side has two bins, of the
-        threshold and of ``max(threshold, row id)``, clipped to the kept
-        ones.  The loop runs every bounded pass, so it calls no helpers.
+        Returns False, moving nothing, when more than :attr:`MAX_MOVES`
+        rows would move.  A moved row is ``(old threshold, row id, new
+        threshold)``, None on the side where it is outside the region:
+        there it sits in bin ``n_bins``, past every sum.  Each side has two
+        bins, of the threshold and of ``max(threshold, row id)``, clipped to
+        the kept ones.  The loop runs every bounded pass, so it calls no
+        helpers.
         """
         old, old_offset = self.thresholds, self.offset
+        budget = self.MAX_MOVES - start - (thresholds.shape[0] - kept)
+        if budget < 0:
+            return False
         moves = []
+        stop = offset + kept  # the ids in both the copy and the region: offset .. stop - 1
+        for row_id in set(changed):
+            if offset <= row_id < stop:
+                before, after = int(old[row_id - old_offset]), int(thresholds[row_id - offset])
+                if before != after:
+                    if len(moves) == budget:
+                        return False
+                    moves.append((before, row_id, after))
         for row in range(start):
             moves.append((int(old[row]), old_offset + row, None))
-        for row in changed:
-            moves.append((int(old[start + row]), offset + row, int(thresholds[row])))
         for row in range(kept, thresholds.shape[0]):
             moves.append((None, offset + row, int(thresholds[row])))
         shift, origin, top = _BOUND_BLOCK_BITS, self.origin, self.prefix.shape[1] - 1
@@ -347,6 +363,7 @@ class BreakpointHistograms:
                 n00[both_before:both_after] -= 1.0
             elif both_after < both_before:
                 n00[both_after:both_before] += 1.0
+        return True
 
 
 def get_score_function(name: str) -> Callable[..., np.ndarray]:

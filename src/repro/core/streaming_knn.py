@@ -120,6 +120,11 @@ BLOCK_ROWS = 32
 #: first axis of a C-ordered matrix with a strided loop.
 BLOCK_MAX_SUBSEQUENCES = 1_000
 
+#: Most row ids the change log holds between two drains; past it the log
+#: reports an overflow and its reader takes the whole table.  At the paper's
+#: defaults a step writes the newest row and a median of two older ones.
+CHANGE_LOG_MAX = 1_024
+
 
 def require_finite(values: np.ndarray) -> None:
     """Reject a run of stream values holding NaN or infinity (``ConfigurationError``).
@@ -326,6 +331,9 @@ class StreamingKNN:
         self._first_global = 0  # global id of the subsequence at live row 0
         self._n_subsequences = 0
         self._last_similarities: np.ndarray | None = None
+        # global ids of the rows whose threshold was written since the last
+        # drain; None once it overflowed (or before anything was logged)
+        self._changed: list[int] | None = None
 
     # ------------------------------------------------------------------ #
     # properties
@@ -463,6 +471,7 @@ class StreamingKNN:
         self._worst_sim.fill(-np.inf)
         self._thresholds.fill(PADDING_INDEX)
         self._last_similarities = None
+        self._changed = None
 
     def state_dict(self) -> dict:
         """Serialise the full k-NN state (backing arrays, offsets, counters).
@@ -548,6 +557,7 @@ class StreamingKNN:
         self._n_subsequences = int(state["n_subsequences"])
         last = state["last_similarities"]
         self._last_similarities = None if last is None else np.array(last, dtype=np.float64)
+        self._changed = None
 
     def __getstate__(self) -> dict:
         """Pickle support: drop the cached kernel callables and the scaled statistics.
@@ -557,9 +567,11 @@ class StreamingKNN:
         closures or JIT dispatchers, neither of which pickles.  They are
         rebuilt on unpickling, so embedding a live instance in a deep-copied
         checkpoint (as the FLOSS competitor does) keeps working.  The scaled
-        ``w·μ`` and ``w·σ`` are rebuilt from the means and stds as well.
+        ``w·μ`` and ``w·σ`` are rebuilt from the means and stds as well, and
+        the change log restarts as overflowed.
         """
         state = self.__dict__.copy()
+        state.pop("_changed", None)
         state.pop("_kernels", None)
         state.pop("_similarity_fn", None)
         state.pop("_similarity_rows", None)
@@ -569,6 +581,7 @@ class StreamingKNN:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._changed = None
         self._kernels = get_backend(self.kernel_backend)
         self._similarity_fn = self._kernels.similarity_kernel(self.similarity)
         self._similarity_rows = get_similarity_from_stats(self.similarity)
@@ -595,6 +608,20 @@ class StreamingKNN:
             knn_indices=self._knn_idx[low:high],
             offset=self._first_global + region_start,
         )
+
+    def drain_changed_rows(self) -> list[int] | None:
+        """The global ids of the rows whose threshold was written since the last drain.
+
+        Empties the change log.  Returns None when the log cannot say: it
+        overflowed (:data:`CHANGE_LOG_MAX`), a block advance wrote it (the
+        block path does not log), or nothing drained it since the k-NN was
+        built, reset or restored; the reader then takes every row.  An id
+        may repeat, may belong to a row evicted since, and a logged row's
+        threshold may be unchanged.  The log is derived state: not
+        checkpointed, and overflowed after a restore or an unpickle.
+        """
+        changed, self._changed = self._changed, []
+        return changed
 
     # ------------------------------------------------------------------ #
     # internals
@@ -783,8 +810,10 @@ class StreamingKNN:
         * **older rows** — see :meth:`_insert_block`.
 
         The caller guarantees a saturated window and no table compaction
-        inside the block.
+        inside the block.  The block's rows are not logged: it marks the
+        change log overflowed.
         """
+        self._changed = None
         d, w, k = self.window_size, self.subsequence_width, self.k_neighbours
         m = self._max_subsequences
         buffer = self._buffer
@@ -1101,6 +1130,11 @@ class StreamingKNN:
         self._worst_sim[row] = row_sim[k - 1]
         rank = self._threshold_rank
         self._thresholds[row] = self._kernels.rank_smallest(row_idx, rank)
+        changed = self._changed
+        if changed is not None:
+            changed.append(self._first_global + self._n_subsequences)
+            if len(changed) > CHANGE_LOG_MAX:
+                self._changed = None
         self._n_subsequences += 1
 
         # k-NN update: the newest subsequence may displace an existing neighbour
@@ -1123,14 +1157,15 @@ class StreamingKNN:
         that are strictly better, columns at and after it shift right by
         one, worst neighbour falls off) runs in the kernel backend over
         views of the eligible live rows, refreshing each patched row's
-        cached worst similarity and prediction threshold in place.
+        cached worst similarity and prediction threshold in place, and logs
+        the patched rows.
         """
         start = self._row_start
         eligible_until = max(0, newest - self.exclusion + 1)
         if eligible_until == 0:
             return
         stop = start + eligible_until
-        self._kernels.insert_newest(
+        rows = self._kernels.insert_newest(
             self._knn_idx[start:stop],
             self._knn_sim[start:stop],
             self._worst_sim[start:stop],
@@ -1139,3 +1174,8 @@ class StreamingKNN:
             self._first_global + newest,
             self._threshold_rank,
         )
+        changed = self._changed
+        if changed is not None and rows.shape[0]:
+            changed += (rows + self._first_global).tolist()
+            if len(changed) > CHANGE_LOG_MAX:
+                self._changed = None

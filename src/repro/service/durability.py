@@ -254,8 +254,8 @@ class DurabilityManager:
         return True
 
     def checkpoint(self, stream) -> Path | None:
-        """Unconditionally checkpoint a stream (no-op while it is frozen)."""
-        if stream.segmenter is None:
+        """Unconditionally checkpoint a stream (no-op while it is frozen or unrecoverable)."""
+        if stream.segmenter is None or stream.failed is not None:
             return None
         spool = self.spool_for(stream.name)
         path = spool.write_checkpoint(

@@ -147,3 +147,27 @@ def unknown_stream(name: str) -> ServiceError:
     'unknown-stream'
     """
     return ServiceError(404, "unknown-stream", f"no stream named {name!r}")
+
+
+def unrecoverable_stream(stream) -> ServiceError:
+    """A 409 for a stream whose crash recovery failed (not retryable).
+
+    Parameters
+    ----------
+    stream:
+        The :class:`~repro.service.streams.StreamState`; its ``failed``
+        reason becomes the error's detail.
+
+    Returns
+    -------
+    ServiceError
+        Status 409 with code ``"stream-unrecoverable"``: a retry cannot
+        succeed, so clients must not retry it (unlike a 503).  ``DELETE``
+        the stream and create it anew.
+    """
+    return ServiceError(
+        409,
+        "stream-unrecoverable",
+        f"stream {stream.name!r} could not be recovered after a worker crash; delete it",
+        detail={"reason": stream.failed},
+    )

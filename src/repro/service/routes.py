@@ -133,6 +133,7 @@ class ServiceRoutes:
             snapshot = stream.metrics.snapshot()
             snapshot["shard"] = stream.shard
             snapshot["frozen"] = stream.frozen
+            snapshot["failed"] = stream.failed is not None
             counters = getattr(stream.segmenter, "quality_counters", None)
             if callable(counters):  # policy-wrapped detector: dirty-data accounting
                 snapshot["quality"] = counters()
@@ -159,6 +160,7 @@ class ServiceRoutes:
         payload = {
             "uptime_seconds": round(uptime, 3),
             "n_streams": len(self.registry),
+            "n_failed_streams": sum(stream["failed"] for stream in streams.values()),
             "total_observations": total_observations,
             "total_events": total_events,
             "observations_per_second": round(total_observations / uptime, 3),

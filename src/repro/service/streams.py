@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from repro.api import ScoreEvent, create, event_from_dict
-from repro.service.errors import ServiceError, unknown_stream
+from repro.service.errors import ServiceError, unknown_stream, unrecoverable_stream
 from repro.storage.checkpoints import segmenter_row
 from repro.storage.history import DEFAULT_HISTORY_WINDOW, StreamHistory
 from repro.utils.exceptions import ConfigurationError, HistoryTruncatedError, ReproError
@@ -114,6 +114,10 @@ class StreamState:
     #: :class:`repro.api.DataPolicy`), or None for strict rejection.
     data_policy: dict[str, Any] | None = None
     frozen: bool = False
+    #: Why the stream's crash recovery failed, leaving its detector unusable:
+    #: every request for it then answers 409 ``stream-unrecoverable``, and
+    #: only ``DELETE`` still works.
+    failed: str | None = None
     #: Events already fanned out (cursor into ``segmenter.events()``).
     n_emitted: int = 0
     #: Cursor-addressed event history: bounded memory window + disk spill.
@@ -165,6 +169,8 @@ class StreamState:
         }
         if self.data_policy is not None:
             descriptor["data_policy"] = dict(self.data_policy)
+        if self.failed is not None:
+            descriptor["failed"] = self.failed
         return descriptor
 
     def publish(self, payloads: list[dict[str, Any]]) -> None:
@@ -333,19 +339,28 @@ class StreamRegistry:
         return stream
 
     def get(self, name: str) -> StreamState:
-        """The stream registered under ``name`` (typed 404 when absent)."""
+        """The stream registered under ``name``.
+
+        Raises a typed 404 when absent, and a typed 409
+        ``stream-unrecoverable`` when its crash recovery failed.
+        """
         try:
-            return self._streams[name]
+            stream = self._streams[name]
         except KeyError:
             raise unknown_stream(name) from None
+        if stream.failed is not None:
+            raise unrecoverable_stream(stream)
+        return stream
 
     def delete(self, name: str) -> StreamState:
-        """Remove and return a stream (typed 404 when absent).
+        """Remove and return a stream, an unrecoverable one too (typed 404 when absent).
 
         The stream's history spill files, if any, are deleted with it.
         """
-        stream = self.get(name)
-        del self._streams[name]
+        try:
+            stream = self._streams.pop(name)
+        except KeyError:
+            raise unknown_stream(name) from None
         stream.history.discard()
         return stream
 

@@ -22,7 +22,10 @@ retry lands as a replayed ack, never a double ingestion.
 
 Streams without a durability spool survive a restart with their in-memory
 detector as-is (best effort — a crash mid-batch may leave it half-mutated);
-run the service with durability enabled for the full guarantee.
+run the service with durability enabled for the full guarantee.  A stream
+whose recovery fails (no intact snapshot) is marked failed instead: its
+detector may be half-mutated, so every request for it answers a
+non-retryable 409 ``stream-unrecoverable`` and only ``DELETE`` works.
 """
 
 from __future__ import annotations
@@ -164,11 +167,11 @@ class Supervisor:
                 continue
             try:
                 report = self.durability.recover(stream)
-            except Exception:
-                logger.exception(
-                    "recovery of stream %r failed; resuming with its in-memory detector",
-                    stream.name,
-                )
+            except Exception as error:
+                # its detector may be half-mutated: a retried batch would
+                # land on top of it, so the stream takes no more requests
+                stream.failed = f"recovery failed: {type(error).__name__}: {error}"
+                logger.exception("recovery of stream %r failed; marking it failed", stream.name)
                 continue
             self.recoveries.append(report)
             restored += 1

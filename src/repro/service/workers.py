@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.api import restore
 from repro.api.protocol import iter_chunks
-from repro.service.errors import ServiceError
+from repro.service.errors import ServiceError, unrecoverable_stream
 from repro.service.faults import WorkerCrash
 from repro.service.streams import StreamState
 
@@ -192,6 +192,8 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
 
     async def _execute(self, job: _Job) -> Any:
+        if job.stream.failed is not None:  # queued before its recovery failed
+            raise unrecoverable_stream(job.stream)
         if self.faults is not None:
             await self.faults.before_job(self.shard, job.kind, job.stream.name)
         if job.kind == "process":

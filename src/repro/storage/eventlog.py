@@ -69,6 +69,21 @@ def read_frame(handle) -> bytes | None:
     return body
 
 
+def _next_frame(handle) -> tuple[dict, int] | None:
+    """The JSON body of the frame at ``handle``'s position and the offset after it.
+
+    None on a torn or corrupt frame, or a body that is not UTF-8 JSON.
+    """
+    body = read_frame(handle)
+    if body is None:
+        return None
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    return payload, handle.tell()
+
+
 class EventLog:
     """Append-only log of typed events keyed by ``(seq, at)``.
 
@@ -158,25 +173,13 @@ class EventLog:
         if not seqs:
             return
         # validate the newest hint actually points at its record
-        record = self._read_frame_at(offsets[-1])
+        with self.path.open("rb") as handle:
+            handle.seek(offsets[-1])
+            record = _next_frame(handle)
         if record is None or int(record[0].get("seq", -1)) != seqs[-1]:
             logger.warning("event log %s: stale index sidecar; rebuilding", self.path)
             return
         self._hint_seqs, self._hint_ats, self._hint_offsets = seqs, ats, offsets
-
-    def _read_frame_at(self, offset: int) -> tuple[dict, int] | None:
-        """Read one frame; return ``(body, next_offset)`` or None when torn."""
-        with self.path.open("rb") as handle:
-            handle.seek(offset)
-            body = read_frame(handle)
-            next_offset = handle.tell()
-        if body is None:
-            return None
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        return payload, next_offset
 
     def _scan_tail(self) -> int | None:
         """Walk records from the newest hint; return the torn offset, if any.
@@ -196,15 +199,17 @@ class EventLog:
             last_at = 0
         size = self.path.stat().st_size
         torn_at: int | None = None
-        while offset < size:
-            frame = self._read_frame_at(offset)
-            if frame is None or frame[1] > size:
-                torn_at = offset
-                break
-            payload, next_offset = frame
-            count += 1
-            last_at = int(payload.get("at", last_at))
-            offset = next_offset
+        with self.path.open("rb") as handle:
+            handle.seek(offset)
+            while offset < size:
+                frame = _next_frame(handle)
+                if frame is None or frame[1] > size:
+                    torn_at = offset
+                    break
+                payload, next_offset = frame
+                count += 1
+                last_at = int(payload.get("at", last_at))
+                offset = next_offset
         self._n_records = count
         self._end_offset = offset
         self._last_at = last_at
@@ -292,6 +297,9 @@ class EventLog:
     def iter_records(self, from_seq: int = 0) -> Iterator[dict]:
         """Yield raw record bodies (``{"seq", "at", "event"}``) from a cursor.
 
+        The records are read through one file handle, open while the
+        iteration runs.
+
         Raises
         ------
         CorruptRecordError
@@ -304,17 +312,19 @@ class EventLog:
             return
         offset, seq = self._offset_for_seq(from_seq)
         end = self._end_offset
-        while offset < end:
-            frame = self._read_frame_at(offset)
-            if frame is None:
-                raise CorruptRecordError(
-                    f"event log {self.path}: record {seq} at byte {offset} failed its "
-                    "integrity check inside the committed range"
-                )
-            payload, offset = frame
-            if int(payload["seq"]) >= from_seq:
-                yield payload
-            seq += 1
+        with self.path.open("rb") as handle:
+            handle.seek(offset)
+            while offset < end:
+                frame = _next_frame(handle)
+                if frame is None:
+                    raise CorruptRecordError(
+                        f"event log {self.path}: record {seq} at byte {offset} failed its "
+                        "integrity check inside the committed range"
+                    )
+                payload, offset = frame
+                if int(payload["seq"]) >= from_seq:
+                    yield payload
+                seq += 1
 
     def read_since(self, seq: int, limit: int | None = None) -> list[dict]:
         """Events (bodies' ``event`` fields) with record number ``>= seq``."""

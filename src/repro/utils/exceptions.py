@@ -44,3 +44,12 @@ class HistoryTruncatedError(StorageError, LookupError):
     def __init__(self, message: str, earliest: int = 0) -> None:
         super().__init__(message)
         self.earliest = int(earliest)
+
+
+class ScorerProcessError(ReproError, RuntimeError):
+    """Raised when the process that scores a pipelined ClaSS stream is lost.
+
+    A scorer found dead between calls leaves the detector at its last
+    drained state, scoring in-process from then on; one that dies during a
+    call fails the detector closed until ``load_state``.
+    """

@@ -1,9 +1,50 @@
-"""Shared fixtures for the test suite: reproducible synthetic streams."""
+"""Shared fixtures for the test suite: reproducible synthetic streams.
+
+Also the choice of ClaSS's scoring path and the session-end check that no
+scorer process outlives the run.
+"""
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
+
+from repro.core import scorer_link
+
+
+@pytest.fixture
+def in_process_scoring(monkeypatch) -> None:
+    """ClaSS scores in the caller's process, whatever its window."""
+    monkeypatch.setattr(scorer_link, "MIN_SUBSEQUENCES", 10**12)
+
+
+@pytest.fixture
+def pipelined_scoring(monkeypatch) -> None:
+    """ClaSS forks a scorer once its window is live, whatever its width or call length.
+
+    Patches only the window and call thresholds of
+    :mod:`repro.core.scorer_link`: the host's own conditions (cores,
+    threads, event loops) still apply.
+    """
+    if scorer_link.spare_cores() < 1:
+        pytest.skip("a scorer process needs a spare core")
+    monkeypatch.setattr(scorer_link, "MIN_SUBSEQUENCES", 0)
+    monkeypatch.setattr(scorer_link, "MIN_CALL_PAUSES", 0)
+    monkeypatch.setattr(scorer_link, "MIN_FORK_PAUSES", 0)
+
+
+def pytest_sessionfinish(session, exitstatus) -> None:
+    """Fail the run if a scorer process is still alive once the tests are done."""
+    gc.collect()
+    alive = scorer_link.live_scorers()
+    if alive:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        message = f"scorer processes still alive at the end of the session: {alive}"
+        if reporter is not None:
+            reporter.write_line(message, red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture

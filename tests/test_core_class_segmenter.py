@@ -1,4 +1,8 @@
-"""Integration tests for the ClaSS streaming segmenter (Algorithm 1)."""
+"""Integration tests for the ClaSS streaming segmenter (Algorithm 1).
+
+Every test runs on both scoring paths: in-process, and with a scorer
+process forked once the window is live (:mod:`repro.core.scorer_link`).
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +10,11 @@ import pytest
 from repro.core.class_segmenter import ChangePointReport, ClaSS
 from repro.core.multivariate import MultivariateClaSS
 from repro.utils.exceptions import ConfigurationError, ValidationError
+
+
+@pytest.fixture(autouse=True, params=["in_process_scoring", "pipelined_scoring"])
+def scoring_path(request):
+    request.getfixturevalue(request.param)
 
 
 class TestConstruction:

@@ -13,6 +13,7 @@ from repro.core.class_segmenter import ClaSS
 from repro.core.similarity import SIMILARITY_MEASURES, pairwise_similarity_matrix
 from repro.core.streaming_knn import (
     BLOCK_ROWS,
+    CHANGE_LOG_MAX,
     FFT_BATCH_MIN,
     KNN_MODES,
     PADDING_INDEX,
@@ -330,6 +331,103 @@ def block_values(kind: str, n: int, seed: int) -> np.ndarray:
         period = rng.normal(size=int(rng.integers(2, 9)))
         return np.tile(period, n // period.shape[0] + 1)[:n]
     return rng.normal(size=n)
+
+
+def thresholds_by_id(knn: StreamingKNN) -> dict[int, int]:
+    """Every live row's prediction threshold, keyed by its global subsequence id."""
+    region = knn.region_view(0)
+    return dict(enumerate(region.thresholds.tolist(), start=region.offset))
+
+
+def unlogged_changes(knn: StreamingKNN, snapshot: dict[int, int]) -> tuple[set, dict]:
+    """Drain the log: the changed rows it misses (None if it overflowed), and a new snapshot."""
+    changed = knn.drain_changed_rows()
+    now = thresholds_by_id(knn)
+    if changed is None:
+        return None, now
+    differs = {row_id for row_id, threshold in now.items() if snapshot.get(row_id) != threshold}
+    return differs - set(changed), now
+
+
+class TestChangeLog:
+    """A row whose threshold differs since the last drain is in the log, or the log overflowed."""
+
+    @given(
+        width=st.integers(min_value=2, max_value=8),
+        extra=st.integers(min_value=0, max_value=60),
+        k=st.integers(min_value=1, max_value=4),
+        kind=st.sampled_from(("noise", "quantised", "flat", "periodic")),
+        backend=st.sampled_from(("numpy", "loops")),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chunks=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=5),
+        schedule=st.lists(
+            st.integers(min_value=1, max_value=3 * BLOCK_ROWS), min_size=1, max_size=6
+        ),
+        drain_every=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_changed_row_is_logged(
+        self, width, extra, k, kind, backend, seed, chunks, schedule, drain_every
+    ):
+        # any next()/send(n) schedule, the block path included (numpy,
+        # saturated, sends of two or more), drained every few pauses
+        window = 2 * width + extra
+        values = block_values(kind, 4 * window + 40, seed)
+        knn = StreamingKNN(window, width, k_neighbours=k, kernel_backend=backend)
+        snapshot = thresholds_by_id(knn)
+        position = pauses = 0
+        index = 0
+        while position < values.shape[0]:
+            chunk = values[position : position + chunks[index % len(chunks)]]
+            steps = knn.update_many(chunk)
+            next(steps)
+            done = 1
+            while True:
+                pauses += 1
+                if pauses % drain_every == 0:
+                    missed, snapshot = unlogged_changes(knn, snapshot)
+                    assert not missed, missed
+                if done == chunk.shape[0]:
+                    break
+                size = min(schedule[pauses % len(schedule)], chunk.shape[0] - done)
+                steps.send(size)
+                done += size
+            steps.close()
+            position += chunk.shape[0]
+            index += 1
+        missed, _ = unlogged_changes(knn, snapshot)
+        assert not missed, missed
+
+    @pytest.mark.parametrize("backend", ("numpy", "loops"))
+    def test_point_steps_never_overflow_a_log_drained_each_step(self, rng, backend):
+        knn = StreamingKNN(120, 6, kernel_backend=backend)
+        assert knn.drain_changed_rows() is None  # nothing drained since the k-NN was built
+        snapshot = thresholds_by_id(knn)
+        logged = 0
+        for value in rng.normal(size=400):
+            knn.update(float(value))
+            changed = list(knn._changed)
+            missed, snapshot = unlogged_changes(knn, snapshot)
+            assert missed == set()
+            logged += len(changed)
+        assert logged > 400  # the newest row and the rows it beat
+
+    def test_overflow_restore_and_unpickle_report_none(self, rng):
+        knn = StreamingKNN(3_000, 6, kernel_backend="numpy")
+        ingest(knn, rng.normal(size=2_000))
+        knn.drain_changed_rows()
+        ingest(knn, rng.normal(size=CHANGE_LOG_MAX))  # a newest row per step alone overflows
+        assert knn.drain_changed_rows() is None
+        ingest(knn, rng.normal(size=3))
+        assert knn.drain_changed_rows() is not None
+        ingest(knn, rng.normal(size=3))
+        clone = pickle.loads(pickle.dumps(knn))
+        assert clone.drain_changed_rows() is None
+        restored = StreamingKNN(3_000, 6)
+        restored.load_state_dict(knn.state_dict())
+        assert restored.drain_changed_rows() is None
+        knn.reset()
+        assert knn.drain_changed_rows() is None
 
 
 class TestSendAndBlocks:

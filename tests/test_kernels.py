@@ -229,10 +229,14 @@ class TestKernelLevelEquivalence:
         candidates[n_beaten:] = worst[n_beaten:] - 1.0
         ref_state = (indices.copy(), sims.copy(), worst.copy(), thresholds.copy())
         other_state = (indices.copy(), sims.copy(), worst.copy(), thresholds.copy())
-        reference.insert_newest(*ref_state, candidates, 999, 1)
-        other.insert_newest(*other_state, candidates, 999, 1)
+        ref_rows = reference.insert_newest(*ref_state, candidates, 999, 1)
+        other_rows = other.insert_newest(*other_state, candidates, 999, 1)
         for left, right in zip(ref_state, other_state):
             np.testing.assert_array_equal(left, right)
+        # the patched rows the k-NN logs: equal across backends, int64, ascending
+        np.testing.assert_array_equal(ref_rows, np.arange(n_beaten))
+        np.testing.assert_array_equal(other_rows, ref_rows)
+        assert ref_rows.dtype == other_rows.dtype == np.int64
         assert (ref_state[0] == 999).sum() == n_beaten
         np.testing.assert_array_equal(ref_state[0][n_beaten:], indices[n_beaten:])
 
@@ -253,13 +257,17 @@ class TestKernelLevelEquivalence:
         candidates = np.tile(candidates, n_copies)
         worst = sims[:, -1].copy()
         thresholds = np.partition(indices, 1, axis=1)[:, 1].copy()
-        states = []
+        states, patched = [], []
         for backend in (get_backend("numpy"), other):
             state = (indices.copy(), sims.copy(), worst.copy(), thresholds.copy())
-            backend.insert_newest(*state, candidates, 99, 1)
+            patched.append(backend.insert_newest(*state, candidates, 99, 1))
             states.append(state)
         for left, right in zip(*states):
             np.testing.assert_array_equal(left, right)
+        # an offer equal to the worst patches nothing, so row 1 is not reported
+        expected_rows = (np.array([0, 2, 3]) + 4 * np.arange(n_copies)[:, None]).ravel()
+        np.testing.assert_array_equal(patched[0], expected_rows)
+        np.testing.assert_array_equal(patched[1], expected_rows)
         np.testing.assert_array_equal(states[0][0], np.tile(expected_idx, (n_copies, 1)))
         np.testing.assert_array_equal(states[0][1], np.tile(expected_sims, (n_copies, 1)))
         np.testing.assert_array_equal(states[0][2], states[0][1][:, -1])

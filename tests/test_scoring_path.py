@@ -58,6 +58,11 @@ from repro.core.streaming_knn import PADDING_INDEX, StreamingKNN
 from repro.utils.exceptions import ConfigurationError
 
 
+@pytest.fixture(autouse=True)
+def _in_process(in_process_scoring):
+    """The audits read the caller's scoring state (but see TestAuditedGateInTheScorer)."""
+
+
 def scores_from_table(knn, exclusion, score="macro_f1"):
     """The product scoring path over a plain k-NN table (thresholds sorted once)."""
     return cross_val_scores_from_thresholds(prediction_thresholds(knn), exclusion, score)
@@ -234,7 +239,7 @@ class TestFusedKernelEquivalence:
         pred_zero_from = breakpoints_from_thresholds(thresholds, m, offset)
         best = fused_split_scores(pred_zero_from, splits, m, score).max()
         histograms = BreakpointHistograms()
-        histograms.update(thresholds, offset)
+        histograms.update(thresholds, offset, None)
         edges = histograms.block_edges(int(splits[0]), int(splits[-1]))
         bounds = split_score_bound(*edges, m, score)
         assert bounds.max() >= best - 1e-12
@@ -758,3 +763,31 @@ class TestBreakpointHistograms:
             restored.process(values[2_600:])
         assert audited["pruned"]
         assert clone.reports == restored.reports
+
+
+class TestAuditedGateInTheScorer:
+    """The gate audit also holds in a scorer process: it runs there, and its failures come home."""
+
+    def test_the_audit_passes_in_the_scorer(self, pipelined_scoring):
+        values = two_regime_stream(np.random.default_rng(3), half=1_500)
+        config = dict(PRUNE_WINDOW, scoring_interval=2, score_threshold=0.9)
+        with pruning_disabled():
+            expected = run_in_chunks(ClaSS(**config), values, 256)
+        with audited_gate() as audited:
+            segmenter = ClaSS(**config)
+            assert run_in_chunks(segmenter, values, 256) == expected
+            assert segmenter._scorer is not None
+        assert not audited["pruned"]  # audited in the scorer, not here
+        assert expected[0]
+
+    def test_a_failed_audit_in_the_scorer_fails_the_call(self, pipelined_scoring):
+        # stale prefix sums: the scorer's audit finds them and the parent raises
+        values = two_regime_stream(np.random.default_rng(3), half=1_500)
+        with audited_gate(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BreakpointHistograms, "_move", lambda self, *args: True)
+            segmenter = ClaSS(**PRUNE_WINDOW)
+            with pytest.raises(AssertionError) as raised:
+                segmenter.process(values, chunk_size=256)
+        assert segmenter._scorer is None  # stopped by the error it sent home
+        notes = getattr(raised.value, "__notes__", ["raised in the scorer process"])  # 3.11+
+        assert any("raised in the scorer process" in note for note in notes)

@@ -176,6 +176,56 @@ class TestCrashRecoveryBitIdentity:
         assert report.checkpoint_n_seen == 300
         assert report.n_replayed_observations >= 2 * BATCH
 
+    def test_a_stream_whose_recovery_fails_refuses_every_request(self, tmp_path):
+        """Every checkpoint corrupted, then a crash mid-batch: recovery has no
+        intact snapshot and the detector is half-mutated.  The stream is
+        marked failed: the client's retry of the crashed batch, and every
+        later request for the stream, answer a non-retryable 409 instead of
+        landing on top of it; /metrics counts it, and DELETE still works."""
+        values = _dataset(seed=4)
+
+        async def scenario():
+            faults = FaultInjector()
+            faults.arm("corrupt-checkpoint", stream="uc", times=100)
+            faults.arm("kill-mid-batch", stream="uc", after=5)  # batch 2's first chunk
+            service = _service(tmp_path, faults)
+            await service.start(port=0)
+            client = await ServiceClient(
+                "127.0.0.1", service.port, retry=RetryPolicy(backoff=0.02)
+            ).connect()
+            answers = []
+            try:
+                status, body = await client.request(
+                    "POST", "/streams/uc",
+                    {"detector": "class", "config": CONFIG, "chunk_size": CHUNK},
+                )
+                assert status == 201, body
+                for seq, start in enumerate(range(0, len(values), BATCH)):
+                    status, body = await client.request(
+                        "POST", "/streams/uc/observations",
+                        {"values": values[start : start + BATCH].tolist(), "seq": seq},
+                    )
+                    answers.append((status, body["error"]["code"] if status != 200 else None))
+                for path in ("/streams/uc", "/streams/uc/events?since=0"):
+                    status, body = await client.request("GET", path)
+                    answers.append((status, body["error"]["code"]))
+                n_seen = service.registry.list_streams()[0].segmenter.n_seen
+                _, metrics = await client.request("GET", "/metrics")
+                deleted = await client.request("DELETE", "/streams/uc")
+                gone = await client.request("GET", "/streams/uc")
+                return answers, n_seen, metrics, deleted, gone, service.supervisor.recoveries
+            finally:
+                await client.close()
+                await service.stop()
+
+        answers, n_seen, metrics, deleted, gone, recoveries = asyncio.run(scenario())
+        refused = (409, "stream-unrecoverable")
+        assert answers == [(200, None), (200, None), refused, refused, refused, refused]
+        assert n_seen == 2 * BATCH + CHUNK  # the crashed batch's first chunk, never a retry
+        assert metrics["n_failed_streams"] == 1 and metrics["streams"]["uc"]["failed"]
+        assert deleted[0] == 200 and gone[0] == 404
+        assert recoveries == []
+
     def test_kill_mid_batch_on_the_adopting_shard_replays_across_the_move(self, tmp_path):
         """A move writes no checkpoint: the spool is keyed by stream name, and
         its tail holds every batch since the oldest retained snapshot.  With

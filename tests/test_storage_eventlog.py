@@ -70,6 +70,44 @@ class TestAppendRead:
             EventLog(tmp_path / "e.log", index_every=0)
 
 
+class TestFileHandles:
+    """Pinned: a read opens the record file once, not once per record."""
+
+    @staticmethod
+    def count_opens(monkeypatch, path):
+        opened = []
+        open_path = type(path).open
+
+        def counting(self, *args, **kwargs):
+            if self == path:
+                opened.append(args[0] if args else kwargs.get("mode", "r"))
+            return open_path(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(path), "open", counting)
+        return opened
+
+    def test_one_open_per_iter_records_call(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.log"
+        with EventLog(path, index_every=16) as log:
+            fill(log, 200)
+            opened = self.count_opens(monkeypatch, path)
+            assert len(log.read_since(0)) == 200
+            assert opened == ["rb"]
+            assert [r["seq"] for r in log.iter_records(150)] == list(range(150, 200))
+            assert len(log.read_range(500, 900)) == 40
+            assert opened == ["rb"] * 3
+
+    def test_one_open_to_scan_the_tail(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.log"
+        with EventLog(path, index_every=1_000) as log:
+            fill(log, 200)  # one hint: opening scans all 200 records
+        opened = self.count_opens(monkeypatch, path)
+        with EventLog(path, index_every=1_000) as log:
+            assert len(log) == 200
+        # the hint's check, the tail scan and the append handle
+        assert opened == ["rb", "rb", "ab"]
+
+
 class TestSparseIndex:
     def test_hints_written_and_used(self, tmp_path):
         with EventLog(tmp_path / "e.log", index_every=4) as log:
