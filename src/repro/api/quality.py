@@ -30,7 +30,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.events import DataQualityEvent, GapEvent, SegmenterEvent, event_from_dict
+from repro.api.events import (
+    ChangePointEvent,
+    DataQualityEvent,
+    GapEvent,
+    SegmenterEvent,
+    event_from_dict,
+)
 from repro.core.quality import DataPolicy, RunRecord, Sanitizer, coerce_data_policy
 from repro.utils.exceptions import ConfigurationError
 
@@ -150,13 +156,18 @@ class SanitizingSegmenter:
         >>> wrapped.process(np.array([1.0, np.nan, 1.0])).size
         0
         """
-        before = len(self.inner.change_points)
+        self._sync_inner_events()  # the inner detector's earlier events are not this call's
+        first = len(self._events)
         for part in self._sanitizer.feed(values):
             self._feed_part(part.values, chunk_size)
             if part.record is not None:
                 self._realise_record(part.record)
-        after = np.asarray(self.inner.change_points)
-        return after[before:].astype(np.int64, copy=False)
+        detected = [
+            event.change_point
+            for event in self._events[first:]
+            if isinstance(event, ChangePointEvent)
+        ]
+        return np.asarray(detected, dtype=np.int64)
 
     def events(self) -> list:
         """Merged append-only event log: inner events + quality events.

@@ -9,8 +9,9 @@ and user code can treat them interchangeably with ClaSS:
 * :meth:`StreamSegmenter.process` streams a finite array in chunks,
   delegating each chunk to :meth:`StreamSegmenter.process_chunk` — the
   default chunk handler loops over :meth:`update`, and methods with a
-  cheaper batch path (e.g. FLOSS feeding its streaming k-NN substrate
-  through ``update_many``) override it,
+  cheaper batch path override it (FLOSS feeds its streaming k-NN substrate
+  through ``update_many``; Page-Hinkley runs its test over a chunk in one
+  loop, of which its ``update`` is the one-value case),
 * :attr:`StreamSegmenter.change_points` collects everything reported so far.
 
 Methods that natively produce a continuous score per time point (FLOSS,
@@ -22,16 +23,23 @@ exclusion zone around recent detections) can be shared via
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
 from repro.core.class_segmenter import DEFAULT_CHUNK_SIZE
 from repro.utils.exceptions import ConfigurationError
 
 
-class StreamSegmenter(abc.ABC):
-    """Abstract base class for streaming time series segmentation methods."""
+#: Instance attribute holding the events built so far: derived from the
+#: detection lists, so checkpoints and pickles leave it out.
+_BUILT_EVENTS = "_built_events"
+
+
+class StreamSegmenter:
+    """Base class for streaming time series segmentation methods.
+
+    Subclasses implement :meth:`_update`, or override :meth:`update` and
+    :meth:`process_chunk` together.
+    """
 
     #: Human-readable name used by the evaluation reports.
     name: str = "segmenter"
@@ -113,6 +121,7 @@ class StreamSegmenter(abc.ABC):
 
     def reset(self) -> None:
         """Forget all state (default implementation re-initialises bookkeeping)."""
+        self.__dict__.pop(_BUILT_EVENTS, None)
         self._n_seen = 0
         self._change_points = []
         self._detection_times = []
@@ -142,26 +151,24 @@ class StreamSegmenter(abc.ABC):
         Ordered by stream position and append-only over time, which is the
         contract :func:`repro.api.stream` relies on.  Scores are the
         method's ``last_score`` at detection time; competitors have no
-        p-value concept, so ``p_value`` stays None.
+        p-value concept, so ``p_value`` stays None.  Each call builds only
+        the events of detections recorded since the previous one and
+        returns a fresh list.
         """
         from repro.api.events import ChangePointEvent, WarmupEvent
 
-        events: list = []
-        warmup = self.warmup_end
-        if warmup is not None:
-            events.append(WarmupEvent(at=int(warmup)))
-        for index, (change_point, detected_at) in enumerate(
-            zip(self._change_points, self._detection_times)
-        ):
-            score = (
-                self._detection_scores[index] if index < len(self._detection_scores) else None
-            )
-            events.append(
+        built = self.__dict__.setdefault(_BUILT_EVENTS, [])
+        scores = self._detection_scores
+        for index in range(len(built), len(self._change_points)):
+            built.append(
                 ChangePointEvent(
-                    at=int(detected_at), change_point=int(change_point), score=score
+                    at=int(self._detection_times[index]),
+                    change_point=int(self._change_points[index]),
+                    score=scores[index] if index < len(scores) else None,
                 )
             )
-        return events
+        warmup = self.warmup_end
+        return list(built) if warmup is None else [WarmupEvent(at=int(warmup)), *built]
 
     # ------------------------------------------------------------------ #
     # checkpointing
@@ -180,7 +187,7 @@ class StreamSegmenter(abc.ABC):
 
         from repro.api.checkpoint import state_payload
 
-        return state_payload(self, copy.deepcopy(self.__dict__))
+        return state_payload(self, copy.deepcopy(self.__getstate__()))
 
     def load_state(self, payload: dict) -> None:
         """Restore a :meth:`save_state` payload into this instance."""
@@ -191,6 +198,12 @@ class StreamSegmenter(abc.ABC):
         state = checked_state(self, payload)
         self.__dict__.clear()
         self.__dict__.update(copy.deepcopy(state))
+
+    def __getstate__(self) -> dict:
+        """Pickle support: the built events stay behind (:meth:`events` rebuilds them)."""
+        state = self.__dict__.copy()
+        state.pop(_BUILT_EVENTS, None)
+        return state
 
     # ------------------------------------------------------------------ #
 
@@ -208,9 +221,9 @@ class StreamSegmenter(abc.ABC):
         self._detection_scores.append(float(self.last_score))
         return change_point
 
-    @abc.abstractmethod
     def _update(self, value: float) -> int | None:
         """Method-specific single-point update; return a CP time or None."""
+        raise NotImplementedError(f"{type(self).__name__} implements no single-point update")
 
 
 class ScoreThresholdDetector:

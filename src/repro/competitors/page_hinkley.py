@@ -10,6 +10,8 @@ it is included here for completeness and for the ablation harness.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.competitors.base import StreamSegmenter
 from repro.utils.running_stats import RunningStats
 
@@ -56,25 +58,64 @@ class PageHinkley(StreamSegmenter):
         super().reset()
         self._init_state()
 
-    def _update(self, value: float) -> int | None:
-        self._stats.update(value)
-        if self._stats.count < self.min_observations:
-            return None
-        deviation = value - self._stats.mean
+    def update(self, value: float) -> int | None:
+        """Ingest one observation (the one-value case of :meth:`process_chunk`)."""
+        detected = self._run((float(value),))
+        return detected[0] if detected else None
 
-        self._cumulative_up += deviation - self.delta
-        self._minimum_up = min(self._minimum_up, self._cumulative_up)
-        up_statistic = self._cumulative_up - self._minimum_up
+    def process_chunk(self, values: np.ndarray) -> np.ndarray:
+        """Run the test over the chunk in one loop; return its change points."""
+        values = np.asarray(values, dtype=np.float64).ravel().tolist()
+        return np.asarray(self._run(values), dtype=np.int64)
 
-        self._cumulative_down += deviation + self.delta
-        self._maximum_down = max(self._maximum_down, self._cumulative_down)
-        down_statistic = self._maximum_down - self._cumulative_down
+    def _run(self, values) -> list[int]:
+        """The test over ``values``, with its state in local floats.
 
-        statistic = max(up_statistic, down_statistic) if self.two_sided else up_statistic
-        self.last_score = statistic / max(self.threshold, 1e-12)
-
-        if statistic > self.threshold:
-            change_point = self._n_seen
-            self._init_state()
-            return change_point
-        return None
+        Each value takes the steps of :meth:`RunningStats.update` and then
+        the test's, in that order; a comparison stands in for ``min``/``max``
+        and returns the operand they would (NaN and signed zeros included).
+        The state is written back before each detection is recorded and at
+        the end, so checkpoints hold exactly the per-value attributes.
+        """
+        delta, threshold = self.delta, self.threshold
+        scale = max(threshold, 1e-12)
+        min_observations, two_sided = self.min_observations, self.two_sided
+        stats = self._stats
+        count, mean, m2 = stats._count, stats._mean, stats._m2
+        up, low_up = self._cumulative_up, self._minimum_up
+        down, high_down = self._cumulative_down, self._maximum_down
+        n_seen, last_score = self._n_seen, self.last_score
+        detected: list[int] = []
+        for value in values:
+            n_seen += 1
+            count += 1
+            step = value - mean
+            mean += step / count
+            m2 += step * (value - mean)
+            if count < min_observations:
+                continue
+            deviation = value - mean
+            up += deviation - delta
+            low_up = up if up < low_up else low_up
+            statistic = up - low_up
+            down += deviation + delta
+            high_down = down if down > high_down else high_down
+            if two_sided:
+                down_statistic = high_down - down
+                statistic = down_statistic if down_statistic > statistic else statistic
+            last_score = statistic / scale
+            if statistic > threshold:
+                self._n_seen, self.last_score = n_seen, last_score
+                self._init_state()
+                change_point = self._record_detection(n_seen)
+                if change_point is not None:
+                    detected.append(change_point)
+                stats = self._stats
+                count, mean, m2 = stats._count, stats._mean, stats._m2
+                up, low_up = self._cumulative_up, self._minimum_up
+                down, high_down = self._cumulative_down, self._maximum_down
+        self._n_seen, self.last_score = n_seen, last_score
+        stats._count, stats._mean, stats._m2 = count, mean, m2
+        self._cumulative_up, self._minimum_up = up, low_up
+        self._cumulative_down, self._maximum_down = down, high_down
+        return detected

@@ -26,8 +26,9 @@ from __future__ import annotations
 import asyncio
 import re
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -46,8 +47,8 @@ DEFAULT_MAX_BATCH = 100_000
 LATENCY_WINDOW = 8_192
 
 
-def quantile(samples: list[float], q: float) -> float | None:
-    """The ``q`` quantile of a sample list (None when empty).
+def quantile(samples: Sequence[float], q: float) -> float | None:
+    """The ``q`` quantile of a sample sequence (None when empty).
 
     Uses the nearest-rank method on a sorted copy — exact for the small
     per-stream reservoirs the metrics endpoint serves.
@@ -68,7 +69,8 @@ class StreamMetrics:
     #: Stale/duplicate batches silently dropped under ``duplicate_policy="drop"``.
     n_dropped_batches: int = 0
     event_counts: dict[str, int] = field(default_factory=dict)
-    latencies: list[float] = field(default_factory=list)
+    #: The newest :data:`LATENCY_WINDOW` latencies (older ones drop off in O(1)).
+    latencies: deque[float] = field(default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
 
     def record(self, n_values: int, events: list, seconds: float) -> None:
         """Account one processed batch: counts plus one latency per event."""
@@ -77,8 +79,6 @@ class StreamMetrics:
         for event in events:
             kind = getattr(type(event), "kind", "event")
             self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
-            if len(self.latencies) >= LATENCY_WINDOW:
-                self.latencies.pop(0)
             self.latencies.append(seconds)
 
     def snapshot(self) -> dict[str, Any]:

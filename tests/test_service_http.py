@@ -12,7 +12,9 @@ import math
 
 import pytest
 
+from repro.api import ScoreEvent
 from repro.service import SegmentationService, ServiceClient
+from repro.service.streams import LATENCY_WINDOW, StreamMetrics, quantile
 
 CONFIG = {"window_size": 120, "scoring_interval": 10}
 
@@ -125,6 +127,18 @@ class TestLifecycle:
             assert len(body["workers"]) == 2
 
         _run(_with_service(scenario))
+
+    def test_latency_reservoir_keeps_the_newest_window(self):
+        metrics = StreamMetrics()
+        n = LATENCY_WINDOW + 1_000
+        for index in range(n):
+            metrics.record(1, [ScoreEvent(at=index, score=0.0)], float(index))
+        newest = [float(index) for index in range(n - LATENCY_WINDOW, n)]
+        assert list(metrics.latencies) == newest
+        snapshot = metrics.snapshot()
+        assert snapshot["event_latency_p50_ms"] == round(quantile(newest, 0.50) * 1e3, 3)
+        assert snapshot["event_latency_p99_ms"] == round(quantile(newest, 0.99) * 1e3, 3)
+        assert snapshot["n_events"] == n
 
 
 # --------------------------------------------------------------------------- #
