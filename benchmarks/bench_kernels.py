@@ -1,24 +1,30 @@
 """Kernel backend throughput sweep: backend x chunk size x window size.
 
-The pluggable kernel backends (ROADMAP item 1) promise bit-identical results
-with very different cost profiles: the numba backend JIT-compiles the
-per-point k-NN kernels and targets >= 5x the numpy reference's raw update
-throughput on the bench_knn_modes workload (d=2000, w=50), while the
-batch-FFT chunked path amortises the transform over whole chunks.  This
-benchmark sweeps ``backend x chunk size x window size`` on the raw streaming
-k-NN substrate, prints the obs/s ladder, and pins the headline claim: the
-numba backend must reach >= 5x the numpy throughput at full size (the
-assertion is skipped when numba is not installed — never weakened).
+The pluggable kernel backends promise bit-identical results with very
+different cost profiles: the numba backend JIT-compiles the per-point k-NN
+kernels and targets >= 5x the numpy reference's raw update throughput on the
+bench_knn_modes workload (d=2000, w=50).  This benchmark
+sweeps ``backend x chunk size x window size`` on the raw streaming k-NN, each
+cell draining ``update_many`` chunk by chunk, and prints the obs/s ladder.
+Every cell runs the k-NN's one dot-product path and steps point by point
+(``next()`` never forms a block), so the chunk size changes only the
+per-call work a chunk shares: validation and the subsequence statistics.
+
+At full size (12,000 points, window 2,000) it pins two claims:
+
+* chunked ingestion must not lose to the per-point loop on any backend;
+* the numba backend must reach >= 5x the numpy throughput (skipped when
+  numba is not installed — never weakened).
 
 Sizes are env-tunable so CI can smoke-run it: ``REPRO_BENCH_POINTS``,
 ``REPRO_BENCH_WINDOW`` (largest window; the sweep also runs window/2) and
-``REPRO_BENCH_CHUNKS``.  The pure-Python ``"loops"`` backend is excluded
-from the sweep by default — it exists for bit-identity testing and is orders
-of magnitude slower; opt in via ``REPRO_BENCH_BACKENDS=numpy,loops`` with
-tiny sizes.  Run with ``--benchmark-json`` for the pytest-benchmark
-artifact; set ``REPRO_BENCH_WRITE_RESULTS=1`` to (re)write the committed
-per-backend baseline ``benchmarks/results/bench_kernels.json`` consumed by
-``compare_bench.py``.
+``REPRO_BENCH_CHUNKS``; below full size both assertions are skipped.  The
+pure-Python ``"loops"`` backend is excluded from the sweep by default — it
+exists for bit-identity testing and is orders of magnitude slower; opt in via
+``REPRO_BENCH_BACKENDS=numpy,loops`` with tiny sizes.  Run with
+``--benchmark-json`` for the pytest-benchmark artifact; set
+``REPRO_BENCH_WRITE_RESULTS=1`` to (re)write the committed per-backend
+baseline ``benchmarks/results/bench_kernels.json``.
 """
 
 from __future__ import annotations
@@ -72,25 +78,14 @@ def _machine_name() -> str:
 
 def _warm_backend(backend: str) -> None:
     """Trigger one-time costs (JIT compilation) outside the timed region."""
-    knn = StreamingKNN(
-        window_size=64, subsequence_width=10, kernel_backend=backend, mode="fft"
-    )
+    knn = StreamingKNN(window_size=64, subsequence_width=10, kernel_backend=backend)
     collections.deque(knn.update_many(np.sin(np.arange(160) / 3.0)), maxlen=0)
 
 
 def _throughput(backend: str, window: int, chunk_size: int, values: np.ndarray) -> float:
-    """Steady-state obs/s of the raw k-NN for one sweep cell.
-
-    Chunks >= the batch threshold run the batched FFT transform in ``"fft"``
-    mode; chunk size 1 is the per-point streaming path — both are part of
-    the claim, so the mode follows the chunk size.
-    """
-    mode = "fft" if chunk_size >= 32 else "streaming"
+    """Steady-state obs/s of the raw k-NN for one sweep cell (chunk size 1 is per-point)."""
     knn = StreamingKNN(
-        window_size=window,
-        subsequence_width=SUBSEQUENCE_WIDTH,
-        kernel_backend=backend,
-        mode=mode,
+        window_size=window, subsequence_width=SUBSEQUENCE_WIDTH, kernel_backend=backend
     )
     warmup = window + chunk_size
     collections.deque(knn.update_many(values[:warmup]), maxlen=0)

@@ -167,12 +167,15 @@ class BatchClaSPSegmenter:
         # validate everything BEFORE mutating: a rejected payload must leave
         # the live adapter untouched
         state = checked_state(self, payload)
-        self.config = ClaSPConfig.from_dict(payload.get("config", {})).validate()
+        config = ClaSPConfig.from_dict(payload.get("config", {})).validate()
         values = np.asarray(state["values"], dtype=np.float64)
+        n_seen, finalized = int(state["n_seen"]), bool(state["finalized"])
+        segmentation = copy.deepcopy(state["segmentation"])
+        self.config = config
         self._chunks = [values.copy()] if values.size else []
-        self._n_seen = int(state["n_seen"])
-        self._finalized = bool(state["finalized"])
-        self._segmentation = copy.deepcopy(state["segmentation"])
+        self._n_seen = n_seen
+        self._finalized = finalized
+        self._segmentation = segmentation
 
     def _buffered(self) -> np.ndarray:
         """The full buffered stream as one contiguous array."""

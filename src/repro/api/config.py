@@ -32,7 +32,6 @@ from repro.core.quality import DataPolicy, coerce_data_policy
 from repro.core.scoring import SCORE_FUNCTIONS
 from repro.core.significance import DEFAULT_SAMPLE_SIZE, DEFAULT_SIGNIFICANCE_LEVEL
 from repro.core.similarity import SIMILARITY_MEASURES
-from repro.core.streaming_knn import KNN_MODES
 from repro.core.window_size import WSS_METHODS
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.validation import check_positive_int, check_probability
@@ -42,6 +41,12 @@ from repro.utils.validation import check_positive_int, check_probability
 #: implementations scored bit-identically, so a stored document naming any of
 #: them loads as the config it describes today.
 _RETIRED_SCORING = {"cross_val_implementation": ("fast", "vectorised", "incremental", "naive")}
+
+#: The k-NN switches retired from ClaSSConfig (``knn_mode``) and ClaSPConfig
+#: (``knn_backend``).  Only their default ran the streaming k-NN of today; the
+#: ablation modes were not bit-identical to it, so naming one is rejected.
+_RETIRED_CLASS = {**_RETIRED_SCORING, "knn_mode": ("streaming",)}
+_RETIRED_CLASP = {**_RETIRED_SCORING, "knn_backend": ("streaming",)}
 
 
 def _check_unit_interval(value: float, name: str) -> None:
@@ -246,9 +251,6 @@ class ClaSSConfig(SegmenterConfig):
         Minimum best-split score in ``[0, 1]`` for a change-point report.
     relearn_width:
         Re-estimate the subsequence width after each detected change point.
-    knn_mode:
-        Streaming k-NN update mode from ``KNN_MODES`` (``"streaming"`` or
-        the batched ``"fft"`` path).
     kernel_backend:
         Distance-kernel backend from ``KERNEL_BACKENDS`` (``"auto"`` picks
         the fastest available, e.g. the JIT backend when installed).
@@ -273,7 +275,7 @@ class ClaSSConfig(SegmenterConfig):
     """
 
     detector: ClassVar[str] = "class"
-    _retired: ClassVar[dict[str, tuple[str, ...]]] = _RETIRED_SCORING
+    _retired: ClassVar[dict[str, tuple[str, ...]]] = _RETIRED_CLASS
 
     window_size: int = 10_000
     subsequence_width: int | None = None
@@ -287,7 +289,6 @@ class ClaSSConfig(SegmenterConfig):
     excl_factor: int = 5
     score_threshold: float = 0.75
     relearn_width: bool = False
-    knn_mode: str = "streaming"
     kernel_backend: str = "auto"
     random_state: int | None = 2357
 
@@ -315,10 +316,6 @@ class ClaSSConfig(SegmenterConfig):
         check_positive_int(self.scoring_interval, "scoring_interval")
         check_positive_int(self.excl_factor, "excl_factor")
         _check_unit_interval(self.score_threshold, "score_threshold")
-        if self.knn_mode not in KNN_MODES:
-            raise ConfigurationError(
-                f"unknown mode {self.knn_mode!r}; expected one of {KNN_MODES}"
-            )
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ConfigurationError(
                 f"unknown kernel backend {self.kernel_backend!r}; "
@@ -454,8 +451,6 @@ class ClaSPConfig(SegmenterConfig):
         Subsequence similarity measure from ``SIMILARITY_MEASURES``.
     score_threshold:
         Minimum split score in ``[0, 1]`` to keep recursing.
-    knn_backend:
-        ``"streaming"`` (ring-buffer k-NN) or ``"bruteforce"``.
     random_state:
         Seed of the permutation test's generator (``None`` = nondeterministic).
     data_policy:
@@ -477,7 +472,7 @@ class ClaSPConfig(SegmenterConfig):
     """
 
     detector: ClassVar[str] = "clasp"
-    _retired: ClassVar[dict[str, tuple[str, ...]]] = _RETIRED_SCORING
+    _retired: ClassVar[dict[str, tuple[str, ...]]] = _RETIRED_CLASP
 
     subsequence_width: int | None = None
     k_neighbours: int = 3
@@ -488,7 +483,6 @@ class ClaSPConfig(SegmenterConfig):
     wss_method: str = "suss"
     similarity: str = "pearson"
     score_threshold: float = 0.75
-    knn_backend: str = "streaming"
     random_state: int | None = 2357
 
     def validate(self) -> "ClaSPConfig":
@@ -510,8 +504,6 @@ class ClaSPConfig(SegmenterConfig):
                 f"unknown wss_method {self.wss_method!r}; expected one of {sorted(WSS_METHODS)}"
             )
         _check_unit_interval(self.score_threshold, "score_threshold")
-        if self.knn_backend not in ("streaming", "bruteforce"):
-            raise ConfigurationError("knn_backend must be 'streaming' or 'bruteforce'")
         _check_significance(self.significance_level, self.sample_size)
         return self
 

@@ -195,9 +195,11 @@ class StreamSegmenter:
 
         from repro.api.checkpoint import checked_state
 
-        state = checked_state(self, payload)
+        # copy before clearing: a payload that fails to copy leaves the live
+        # detector untouched
+        state = copy.deepcopy(checked_state(self, payload))
         self.__dict__.clear()
-        self.__dict__.update(copy.deepcopy(state))
+        self.__dict__.update(state)
 
     def __getstate__(self) -> dict:
         """Pickle support: the built events stay behind (:meth:`events` rebuilds them)."""

@@ -34,7 +34,6 @@ from repro.core.similarity import (
     similarity_profile,
 )
 from repro.core.streaming_knn import (
-    KNN_MODES,
     PADDING_INDEX,
     RegionView,
     StreamingKNN,
@@ -68,7 +67,6 @@ __all__ = [
     "SIMILARITY_MEASURES",
     "SCORE_FUNCTIONS",
     "WSS_METHODS",
-    "KNN_MODES",
     "PADDING_INDEX",
     "cross_val_scores_from_thresholds",
     "cross_val_scores_vectorised",

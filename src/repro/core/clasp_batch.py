@@ -9,10 +9,10 @@ variant is included for three reasons:
   implementation (quadratic in the series length), and
 * it doubles as an oracle for the streaming implementation in the test-suite.
 
-The implementation computes the k-NN table once (either with the brute-force
-pairwise similarity matrix or by running the streaming k-NN over the whole
-series with ``d = n``) and then applies the same cross-validation scorer used
-by ClaSS, followed by a recursive extraction of significant change points.
+The implementation computes the k-NN table once, by running the streaming
+k-NN over the whole series with ``d = n``, and then applies the same
+cross-validation scorer used by ClaSS, followed by a recursive extraction of
+significant change points.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from repro.core.cross_val import (
 )
 from repro.core.profile import ClaSPProfile
 from repro.core.significance import ChangePointSignificanceTest
-from repro.core.streaming_knn import StreamingKNN, exact_knn_bruteforce
+from repro.core.streaming_knn import StreamingKNN
 from repro.core.window_size import learn_subsequence_width
-from repro.utils.exceptions import ConfigurationError, NotEnoughDataError
+from repro.utils.exceptions import NotEnoughDataError
 from repro.utils.validation import check_array_1d
 
 
@@ -68,10 +68,6 @@ class ClaSP:
         Minimum ClaSP score a split must reach to be considered (§2.1).
     significance_level, sample_size:
         Passed to :class:`~repro.core.significance.ChangePointSignificanceTest`.
-    knn_backend:
-        ``"streaming"`` (run the streaming k-NN over the full series, O(n^2)
-        worst case but memory-light) or ``"bruteforce"`` (dense similarity
-        matrix, O(n^2) memory — only for short series / tests).
     """
 
     def __init__(
@@ -85,11 +81,8 @@ class ClaSP:
         wss_method: str = "suss",
         similarity: str = "pearson",
         score_threshold: float = 0.75,
-        knn_backend: str = "streaming",
         random_state: int | None = 2357,
     ) -> None:
-        if knn_backend not in ("streaming", "bruteforce"):
-            raise ConfigurationError("knn_backend must be 'streaming' or 'bruteforce'")
         self.subsequence_width = subsequence_width
         self.k_neighbours = int(k_neighbours)
         self.score = score
@@ -97,7 +90,6 @@ class ClaSP:
         self.wss_method = wss_method
         self.similarity = similarity
         self.score_threshold = float(score_threshold)
-        self.knn_backend = knn_backend
         self.significance = ChangePointSignificanceTest(
             significance_level=significance_level,
             sample_size=sample_size,
@@ -107,9 +99,6 @@ class ClaSP:
     # ------------------------------------------------------------------ #
 
     def _knn(self, values: np.ndarray, width: int) -> np.ndarray:
-        if self.knn_backend == "bruteforce":
-            indices, _ = exact_knn_bruteforce(values, width, self.k_neighbours, self.similarity)
-            return indices
         knn = StreamingKNN(
             window_size=values.shape[0],
             subsequence_width=width,

@@ -201,9 +201,6 @@ class ClaSS:
         If True the subsequence width is re-learned from the evolving segment
         after every reported change point (the optional concept-drift mode of
         §3.4).
-    knn_mode:
-        Dot-product strategy of the streaming k-NN: ``"streaming"``,
-        ``"recompute"`` or ``"fft"`` (ablation modes of §4.4).
     kernel_backend:
         Execution backend for the k-NN hot-path kernels, one of
         :data:`repro.core.kernels.KERNEL_BACKENDS`.  ``"auto"`` (default)
@@ -229,7 +226,6 @@ class ClaSS:
         excl_factor: int = 5,
         score_threshold: float = 0.75,
         relearn_width: bool = False,
-        knn_mode: str = "streaming",
         kernel_backend: str = "auto",
         random_state: int | None = 2357,
     ) -> None:
@@ -249,7 +245,6 @@ class ClaSS:
                 excl_factor=excl_factor,
                 score_threshold=score_threshold,
                 relearn_width=relearn_width,
-                knn_mode=knn_mode,
                 kernel_backend=kernel_backend,
                 random_state=random_state,
             )
@@ -277,7 +272,6 @@ class ClaSS:
         self.excl_factor = int(config.excl_factor)
         self.score_threshold = float(config.score_threshold)
         self.relearn_width = bool(config.relearn_width)
-        self.knn_mode = config.knn_mode
         self.kernel_backend = config.kernel_backend
         # resolve once: scoring hands the backend's fused split-score kernel
         # to the cross-validation
@@ -567,26 +561,25 @@ class ClaSS:
         from repro.api.checkpoint import checked_state
         from repro.api.config import ClaSSConfig
 
-        # validate everything BEFORE mutating: a rejected payload must leave
-        # the live segmenter untouched
+        # restore into a fresh detector and adopt it only once everything
+        # loaded: a rejected payload must leave the live segmenter untouched
         state = checked_state(self, payload)
-        config = ClaSSConfig.from_dict(payload.get("config", {})).validate()
-        if self._scorer is not None:
-            self._drop_scorer()
-        self._configure(config)
-        self._reset_runtime_state()
-        self._prefix = list(state["prefix"])
-        self._width = state["width"]
-        self._n_seen = int(state["n_seen"])
-        self._warmup_end = state["warmup_end"]
-        self._state = SegmentationState(
+        restored = type(self).from_config(ClaSSConfig.from_dict(payload.get("config", {})))
+        restored._prefix = list(state["prefix"])
+        restored._width = state["width"]
+        restored._n_seen = int(state["n_seen"])
+        restored._warmup_end = state["warmup_end"]
+        restored._state = SegmentationState(
             last_change_point_offset=int(state["last_change_point_offset"]),
             reports=[ChangePointReport(**report) for report in state["reports"]],
         )
-        self.significance.set_rng_state(state["rng_state"])
+        restored.significance.set_rng_state(state["rng_state"])
         if state["knn"] is not None:
-            self._knn = self._new_knn(int(self._width))
-            self._knn.load_state_dict(state["knn"])
+            restored._knn = restored._new_knn(int(restored._width))
+            restored._knn.load_state_dict(state["knn"])
+        if self._scorer is not None:
+            self._drop_scorer()
+        self.__dict__.update(restored.__dict__)
 
     def __getstate__(self) -> dict:
         """Pickle support: a scorer process stops first, and its link stays behind."""
@@ -925,6 +918,5 @@ class ClaSS:
             subsequence_width=width,
             k_neighbours=self.k_neighbours,
             similarity=self.similarity,
-            mode=self.knn_mode,
             kernel_backend=self.kernel_backend,
         )

@@ -222,16 +222,18 @@ class MultivariateClaSS:
         from repro.api.checkpoint import checked_state
         from repro.api.config import MultivariateClaSSConfig
 
-        # validate everything BEFORE mutating: a rejected payload must leave
-        # the live ensemble untouched
+        # restore into a fresh ensemble and adopt it only once every channel
+        # loaded: a rejected payload must leave the live ensemble untouched
         state = checked_state(self, payload)
-        config = MultivariateClaSSConfig.from_dict(payload.get("config", {})).validate()
-        self._configure(config)
-        self._n_seen = int(state["n_seen"])
-        self._pending = [ChannelReport(**report) for report in state["pending"]]
-        self._fused = [FusedChangePoint(**fused) for fused in state["fused"]]
-        for segmenter, channel_payload in zip(self.segmenters, state["channels"]):
+        restored = type(self).from_config(
+            MultivariateClaSSConfig.from_dict(payload.get("config", {}))
+        )
+        restored._n_seen = int(state["n_seen"])
+        restored._pending = [ChannelReport(**report) for report in state["pending"]]
+        restored._fused = [FusedChangePoint(**fused) for fused in state["fused"]]
+        for segmenter, channel_payload in zip(restored.segmenters, state["channels"]):
             segmenter.load_state(channel_payload)
+        self.__dict__.update(restored.__dict__)
 
     # ------------------------------------------------------------------ #
 

@@ -12,8 +12,8 @@ the next iteration (Eqn. 5).
 
 Ingestion is *chunked*: the native entry point is :meth:`StreamingKNN.update_many`,
 which accepts a whole array of observations, hoists the per-point Python
-overhead (validation, mode dispatch, sliding-statistics bookkeeping) out of
-the loop, and lazily yields the table state after every observation.
+overhead (validation, sliding-statistics bookkeeping) out of the loop, and
+lazily yields the table state after every observation.
 :meth:`StreamingKNN.update` is the thin single-element case of the same code
 path, so there is exactly one ingestion implementation and batched ingestion
 is bit-identical to point-wise ingestion.
@@ -21,17 +21,17 @@ is bit-identical to point-wise ingestion.
 The generator advances one observation per ``next()``; ``send(n)`` at a
 yield advances ``n`` before the next one.  A caller that reads the tables
 only every so often (ClaSS scores every ``scoring_interval`` observations)
-sends the distance to its next read, and a saturated ``"streaming"`` k-NN on
-the numpy backend then advances those steps as blocks: one
-``np.add.accumulate`` over the stacked extend/shrink terms yields every
-step's dot products (bit-identical, since the accumulation adds row by row),
-the similarity and the newest rows' top-k run over ``(B, m)`` matrices, and
-the older rows merge a block's candidates by one stable sort, replaying the
-rows with exact ties through the backend's sorted insert.  Single steps, the
+sends the distance to its next read, and a saturated k-NN on the numpy
+backend then advances those steps as blocks: one ``np.add.accumulate`` over
+the stacked extend/shrink terms yields every step's dot products
+(bit-identical, since the accumulation adds row by row), the similarity and
+the newest rows' top-k run over ``(B, m)`` matrices, and the older rows merge
+a block's candidates by one stable sort, replaying the rows with exact ties
+through the backend's sorted insert.  Single steps, the
 warm-up growth, windows of more than :data:`BLOCK_MAX_SUBSEQUENCES`
 subsequences (where the array work outweighs the per-call overhead blocks
-save), the ``"recompute"``/``"fft"`` modes and the loop-form backends (numba
-has no per-call overhead to amortise) step point by point.
+save) and the loop-form backends (numba has no per-call overhead to
+amortise) step point by point.
 
 Two buffer-layout choices keep the amortized per-point cost free of hidden
 O(d) terms:
@@ -48,24 +48,11 @@ O(d) terms:
   array passes over the window for Eqn. 4 (six with the zero-denominator
   scan, which runs only beside a NaN std), not nine.
 
-Three operation modes are provided so the ablation benchmarks can reproduce
-the runtime discussion of §4.4:
-
-* ``"streaming"`` — the paper's O(d) incremental dot-product update (default).
-* ``"recompute"`` — recomputes all dot products against the newest subsequence
-  from scratch every update, O(d * w).
-* ``"fft"``       — recomputes them with an FFT correlation, O(d log d), the
-  approach underlying FLOSS.  Chunked ingestion additionally batches the
-  FFT work: once the window is saturated, the distance profiles of a whole
-  sub-chunk are produced by one row-wise FFT transform over all of its
-  query/window pairs (the stumpy-style MASS batching) instead of one
-  transform per observation.  Row-wise FFTs are bit-identical to their 1-d
-  counterparts, so this is a pure speedup — the chunked-equals-point-wise
-  guarantee below is unaffected.
-
-All three produce identical correlations (up to floating point error), and
-for each mode the chunked path produces bit-identical tables to the
-point-wise path, which the test-suite verifies.
+The streaming update is the only dot-product path.  The alternatives of the
+paper's §4.4 runtime discussion (recomputing the dot products in O(d * w), or
+by FFT correlation in O(d log d) as FLOSS does) live in
+``benchmarks/bench_knn_modes.py``, as subclasses that override
+:meth:`StreamingKNN._incremental_dot_products`.
 
 The element-wise hot-path arithmetic (dot-product extension/shrink,
 similarity profiles, top-k selection, sorted inserts) is delegated to a
@@ -78,8 +65,7 @@ backend-portable.
 
 from __future__ import annotations
 
-import itertools
-from typing import Generator, Iterator, NamedTuple
+from typing import Generator, NamedTuple
 
 import numpy as np
 
@@ -92,24 +78,13 @@ from repro.utils.exceptions import ConfigurationError, NotEnoughDataError
 #: is exactly how the paper deals with neighbours that slid out of the window.
 PADDING_INDEX = -(10**9)
 
-KNN_MODES = ("streaming", "recompute", "fft")
-
 #: Floor applied to subsequence standard deviations so constant subsequences
 #: do not divide by zero in the correlation computation.
 STD_FLOOR = 1e-8
 
-#: Minimum sub-chunk length for which ``"fft"`` mode switches from per-point
-#: FFT transforms to one batched row-wise transform per sub-chunk.  Below
-#: this the batch set-up costs more than it saves.
-FFT_BATCH_MIN = 32
-
-#: Row-block size of the batched FFT: bounds the transform workspace to
-#: ``O(FFT_BATCH_ROWS * window_size)`` regardless of chunk length.
-FFT_BATCH_ROWS = 128
-
-#: Most steps one block of the ``"streaming"`` numpy path advances: bounds
-#: its temporaries to ``O(BLOCK_ROWS * window_size)`` however far a caller
-#: advances between two yields.
+#: Most steps one block of the numpy path advances: bounds its temporaries
+#: to ``O(BLOCK_ROWS * window_size)`` however far a caller advances between
+#: two yields.
 BLOCK_ROWS = 32
 
 #: Most subsequences a window may hold for the block path; wider windows
@@ -134,6 +109,22 @@ def require_finite(values: np.ndarray) -> None:
     """
     if values.size and not np.isfinite(values).all():
         raise ConfigurationError("stream values must be finite")
+
+
+def _without_retired_mode(entries: dict) -> dict:
+    """``entries`` without the retired ``"mode"`` entry, which must name ``"streaming"``.
+
+    k-NN states and pickles written while the ``"recompute"`` and ``"fft"``
+    ablation modes existed carry it.  Those modes are not bit-identical to
+    the streaming update, so an entry naming one is rejected.
+    """
+    if not isinstance(entries, dict) or "mode" not in entries:
+        return entries
+    if entries["mode"] != "streaming":
+        raise ConfigurationError(
+            f"retired StreamingKNN field 'mode' must be 'streaming', got {entries['mode']!r}"
+        )
+    return {key: value for key, value in entries.items() if key != "mode"}
 
 
 def exclusion_radius(window_size: int) -> int:
@@ -226,8 +217,6 @@ class StreamingKNN:
         the paper's ablation choice).
     similarity:
         One of ``"pearson"`` (default), ``"euclidean"`` or ``"cid"``.
-    mode:
-        Dot-product update strategy, see module docstring.
     kernel_backend:
         Execution backend for the element-wise hot-path kernels, one of
         :data:`repro.core.kernels.KERNEL_BACKENDS`.  ``"auto"`` (default)
@@ -253,7 +242,6 @@ class StreamingKNN:
         subsequence_width: int,
         k_neighbours: int = 3,
         similarity: str = "pearson",
-        mode: str = "streaming",
         kernel_backend: str = "auto",
     ) -> None:
         if subsequence_width < 2:
@@ -269,14 +257,11 @@ class StreamingKNN:
             raise ConfigurationError(
                 f"unknown similarity {similarity!r}; expected one of {SIMILARITY_MEASURES}"
             )
-        if mode not in KNN_MODES:
-            raise ConfigurationError(f"unknown mode {mode!r}; expected one of {KNN_MODES}")
 
         self.window_size = int(window_size)
         self.subsequence_width = int(subsequence_width)
         self.k_neighbours = int(k_neighbours)
         self.similarity = similarity
-        self.mode = mode
         self.kernel_backend = kernel_backend
         # get_backend validates the name and resolves "auto"/fallbacks
         self._kernels = get_backend(kernel_backend)
@@ -423,14 +408,14 @@ class StreamingKNN:
         state after the most recent observation, so callers can step the
         stream and inspect tables at any granularity.  Draining the iterator
         without looking at intermediate states ingests the whole chunk with
-        all per-point Python overhead (validation, mode dispatch, statistics
-        recomputation) hoisted out of the loop.
+        all per-point Python overhead (validation, statistics recomputation)
+        hoisted out of the loop.
 
         Nobody reads the states inside one ``send(n)``, so once the window is
-        saturated a ``"streaming"`` k-NN on the numpy backend with at most
-        :data:`BLOCK_MAX_SUBSEQUENCES` subsequences advances them as blocks
-        of up to :data:`BLOCK_ROWS` steps, each a fixed number of
-        whole-block numpy operations.  The block path is bit-identical to
+        saturated a k-NN on the numpy backend with at most
+        :data:`BLOCK_MAX_SUBSEQUENCES` subsequences advances them as blocks of
+        up to :data:`BLOCK_ROWS` steps, each a fixed number of whole-block
+        numpy operations.  The block path is bit-identical to
         stepping point by point: ``send`` changes only the speed.
 
         Chunked ingestion is bit-identical to point-wise ingestion: feeding
@@ -495,7 +480,6 @@ class StreamingKNN:
                 "subsequence_width": self.subsequence_width,
                 "k_neighbours": self.k_neighbours,
                 "similarity": self.similarity,
-                "mode": self.mode,
             },
             "buffer": self._buffer.copy(),
             "start": self._start,
@@ -522,16 +506,16 @@ class StreamingKNN:
         """Restore a :meth:`state_dict` payload into this instance.
 
         The receiving instance must be configured identically (window size,
-        subsequence width, neighbours, similarity, mode) — a mismatch is a
+        subsequence width, neighbours, similarity) — a mismatch is a
         configuration error, not a silent re-interpretation of the buffers.
+        A retired ``"mode"`` entry loads when it names ``"streaming"``.
         """
-        config = state.get("config", {})
+        config = _without_retired_mode(state.get("config", {}))
         expected = {
             "window_size": self.window_size,
             "subsequence_width": self.subsequence_width,
             "k_neighbours": self.k_neighbours,
             "similarity": self.similarity,
-            "mode": self.mode,
         }
         if config != expected:
             raise ConfigurationError(
@@ -568,7 +552,8 @@ class StreamingKNN:
         rebuilt on unpickling, so embedding a live instance in a deep-copied
         checkpoint (as the FLOSS competitor does) keeps working.  The scaled
         ``w·μ`` and ``w·σ`` are rebuilt from the means and stds as well, and
-        the change log restarts as overflowed.
+        the change log restarts as overflowed.  A pickle's retired ``mode``
+        attribute loads when it names ``"streaming"``.
         """
         state = self.__dict__.copy()
         state.pop("_changed", None)
@@ -580,7 +565,7 @@ class StreamingKNN:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        self.__dict__.update(_without_retired_mode(state))
         self._changed = None
         self._kernels = get_backend(self.kernel_backend)
         self._similarity_fn = self._kernels.similarity_kernel(self.similarity)
@@ -640,8 +625,8 @@ class StreamingKNN:
         position, never of the chunking.
 
         ``next()`` advances one observation and ``send(n)`` advances ``n``
-        before the next yield.  An advance of two or more saturated
-        ``"streaming"`` steps on the numpy backend, in a window of at most
+        before the next yield.  An advance of two or more saturated steps on
+        the numpy backend, in a window of at most
         :data:`BLOCK_MAX_SUBSEQUENCES` subsequences, runs as whole-block
         numpy operations (:meth:`_advance_blocks`); everything else steps
         point by point.
@@ -657,17 +642,7 @@ class StreamingKNN:
         w = self.subsequence_width
         live = self._stds[self._start : self._start + max(0, self._length - w + 1)]
         floored = bool(live.min(initial=np.inf) >= STD_FLOOR)
-        dot_update = {
-            "streaming": self._incremental_dot_products,
-            "recompute": self._recomputed_dot_products,
-            "fft": self._fft_dot_products,
-        }[self.mode]
-        batch_fft = self.mode == "fft"
-        blocks = (
-            self.mode == "streaming"
-            and self._kernels.name == "numpy"
-            and self._max_subsequences <= BLOCK_MAX_SUBSEQUENCES
-        )
+        blocks = self._kernels.name == "numpy" and self._max_subsequences <= BLOCK_MAX_SUBSEQUENCES
         n = values.shape[0]
         position = 0
         pending = 1  # observations to advance before the next yield
@@ -684,20 +659,14 @@ class StreamingKNN:
             if first < take:
                 computed = self._compute_subsequence_stats(write + first - w + 1, take - first)
                 floored = floored and computed
-            profiles = None
-            if batch_fft and take >= FFT_BATCH_MIN and self._length == self.window_size:
-                profiles = self._batch_fft_profiles(take)
             done = 0
             while done < take:
                 count = min(pending, take - done)
-                if profiles is not None:
-                    for profile in itertools.islice(profiles, count):
-                        ready = self._step(self._precomputed_dot_products(profile), floored)
-                elif blocks and count > 1 and self._length == self.window_size:
+                if blocks and count > 1 and self._length == self.window_size:
                     ready = self._advance_blocks(count, floored)
                 else:
                     for _ in range(count):
-                        ready = self._step(dot_update, floored)
+                        ready = self._step(floored)
                 done += count
                 pending -= count
                 if not pending:
@@ -707,7 +676,7 @@ class StreamingKNN:
                         raise ConfigurationError(f"send(n) needs n >= 1, got {sent}")
             position += take
 
-    def _step(self, dot_update, floored: bool) -> bool:
+    def _step(self, floored: bool) -> bool:
         """Advance the window over one already-written observation.
 
         ``floored`` vouches that every live std is at least :data:`STD_FLOOR`.
@@ -724,7 +693,7 @@ class StreamingKNN:
         m = self._length - self.subsequence_width + 1
         start, query = self._start, self._start + m - 1
         window = self._buffer[start : start + self._length]
-        dot_products = dot_update(window, m, evicted)
+        dot_products = self._incremental_dot_products(window, m, evicted)
         complexities = query_complexity = None
         if self._comps is not None:
             complexities = self._comps[start : start + m]
@@ -744,40 +713,8 @@ class StreamingKNN:
         self._refresh_tables(similarities, evicted)
         return True
 
-    def _batch_fft_profiles(self, take: int) -> Iterator[np.ndarray]:
-        """Dot-product profiles of ``take`` saturated-window steps, batched by FFT.
-
-        Computes the profiles with one row-wise FFT transform per
-        :data:`FFT_BATCH_ROWS` block, lazily as the steps consume them — each
-        row pairs the sliding window of a step with that step's newest
-        subsequence (reversed), exactly the operands of the per-point
-        :meth:`_fft_dot_products`.  numpy's pocketfft evaluates row-wise
-        transforms identically to 1-d ones, so every profile — and the
-        per-step Eqn. 5 shrink written to the partial-dot-product store —
-        is bit-identical to the per-point path.  Only used when the window
-        is saturated (every step evicts), which keeps the window length,
-        FFT size and row geometry constant across the sub-chunk.
-        """
-        d = self.window_size
-        w = self.subsequence_width
-        m = self._max_subsequences
-        size = 1 << int(np.ceil(np.log2(d + w)))
-        buffer = self._buffer
-        base = self._start + 1  # backing offset of the first step's window
-        sliding = np.lib.stride_tricks.sliding_window_view
-        done = 0
-        while done < take:
-            block = min(FFT_BATCH_ROWS, take - done)
-            first = base + done
-            windows = sliding(buffer[first : first + d + block - 1], d)
-            queries = sliding(buffer[first + d - w : first + d + block - 1], w)[:, ::-1]
-            spec = np.fft.rfft(windows, size, axis=1) * np.fft.rfft(queries, size, axis=1)
-            conv = np.fft.irfft(spec, size, axis=1)
-            yield from conv[:, w - 1 : w - 1 + m]
-            done += block
-
     def _advance_blocks(self, count: int, floored: bool) -> bool:
-        """Advance ``count`` saturated ``"streaming"`` steps in blocks.
+        """Advance ``count`` saturated steps in blocks.
 
         A block stops at :data:`BLOCK_ROWS` steps and before the step that
         compacts the k-NN tables; a remainder of one step goes point-wise.
@@ -786,7 +723,7 @@ class StreamingKNN:
             steps = min(count, BLOCK_ROWS, self._max_subsequences - self._row_start)
             if steps < 2:
                 steps = 1
-                self._step(self._incremental_dot_products, floored)
+                self._step(floored)
             else:
                 self._block_step(steps, floored)
             count -= steps
@@ -955,23 +892,6 @@ class StreamingKNN:
             self._worst_sim[target] = tables[2]
             self._thresholds[target] = tables[3]
 
-    def _precomputed_dot_products(self, full: np.ndarray):
-        """Adapt one batched profile row to the ``dot_update`` interface.
-
-        Still writes the Eqn. 5 shrink into the partial-dot-product store so
-        a checkpoint taken mid-chunk restores into the same state the
-        per-point path would have produced.
-        """
-
-        def dot_update(window: np.ndarray, m: int, evicted: bool) -> np.ndarray:
-            profile = full[:m]
-            oldest = window[window.shape[0] - self.subsequence_width]
-            self._q_store[:m] = profile - window[:m] * oldest
-            self._q_valid = m
-            return profile
-
-        return dot_update
-
     def _compact(self) -> None:
         """Copy the live window (and its statistics) back to backing offset 0.
 
@@ -1068,29 +988,6 @@ class StreamingKNN:
             float(window[length - w]),
             self._q_store,
         )
-        self._q_valid = m
-        return full
-
-    def _recomputed_dot_products(self, window: np.ndarray, m: int, evicted: bool) -> np.ndarray:
-        """O(d * w) recomputation of the dot products (ablation mode)."""
-        w = self.subsequence_width
-        subs = np.lib.stride_tricks.sliding_window_view(window, w)
-        query = window[-w:]
-        full = subs @ query
-        self._q_store[:m] = full - window[:m] * window[window.shape[0] - w]
-        self._q_valid = m
-        return full
-
-    def _fft_dot_products(self, window: np.ndarray, m: int, evicted: bool) -> np.ndarray:
-        """O(d log d) FFT-based dot products (FLOSS-style ablation mode)."""
-        w = self.subsequence_width
-        query = window[-w:]
-        n = window.shape[0]
-        size = 1 << int(np.ceil(np.log2(n + w)))
-        spec = np.fft.rfft(window, size) * np.fft.rfft(query[::-1], size)
-        conv = np.fft.irfft(spec, size)
-        full = conv[w - 1 : w - 1 + m]
-        self._q_store[:m] = full - window[:m] * window[n - w]
         self._q_valid = m
         return full
 

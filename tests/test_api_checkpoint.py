@@ -4,9 +4,8 @@ The contract under test (the acceptance bar of the unified API): stream half
 of a series, ``save_state`` (shipping the payload through pickle, as a worker
 migration would), restore into a fresh instance, stream the rest — the
 resumed run must report exactly the change points, detection times, scores
-and p-values of the uninterrupted run, for ClaSS (across knn modes and
-scoring intervals), MultivariateClaSS, the batch-ClaSP adapter and all eight
-competitors.
+and p-values of the uninterrupted run, for ClaSS (across scoring intervals),
+MultivariateClaSS, the batch-ClaSP adapter and all eight competitors.
 """
 
 import pickle
@@ -90,16 +89,10 @@ class TestCompetitorCheckpoints:
 
 
 class TestClaSSCheckpoints:
-    @pytest.mark.parametrize("knn_mode", ("streaming", "recompute", "fft"))
     @pytest.mark.parametrize("scoring_interval", (1, 7))
-    def test_resume_is_bit_identical_across_modes_and_intervals(
-        self, knn_mode, scoring_interval, checkpoint_stream
-    ):
+    def test_resume_is_bit_identical_across_intervals(self, scoring_interval, checkpoint_stream):
         config = api.ClaSSConfig(
-            window_size=600,
-            subsequence_width=20,
-            scoring_interval=scoring_interval,
-            knn_mode=knn_mode,
+            window_size=600, subsequence_width=20, scoring_interval=scoring_interval
         )
         uninterrupted = api.create("class", config)
         uninterrupted.process(checkpoint_stream)
@@ -219,9 +212,16 @@ class TestCheckpointEnvelope:
         segmenter.process(checkpoint_stream[1_000:])
         np.testing.assert_array_equal(segmenter.change_points, resumed.change_points)
 
-    @pytest.mark.parametrize("old", ["fast", "naive"])
-    def test_checkpoint_naming_the_retired_scoring_switch_resumes(
-        self, tmp_path, checkpoint_stream, old
+    @pytest.mark.parametrize(
+        "field, old",
+        [
+            ("cross_val_implementation", "fast"),
+            ("cross_val_implementation", "naive"),
+            ("knn_mode", "streaming"),
+        ],
+    )
+    def test_checkpoint_naming_a_retired_field_resumes(
+        self, tmp_path, checkpoint_stream, field, old
     ):
         config = api.ClaSSConfig(window_size=600, subsequence_width=20, scoring_interval=5)
         uninterrupted = api.create("class", config)
@@ -229,7 +229,9 @@ class TestCheckpointEnvelope:
         half = api.create("class", config)
         half.process(checkpoint_stream[:1_000])
         payload = half.save_state()
-        payload["config"]["cross_val_implementation"] = old  # written before its removal
+        payload["config"][field] = old  # written before its removal
+        if field == "knn_mode":
+            payload["state"]["knn"]["config"]["mode"] = old  # and so was the k-NN's state
         path = write_payload_file(tmp_path / "old.ckpt", payload)
         for resumed in (api.restore(payload), api.load_checkpoint(path)):
             assert resumed.config == config
@@ -277,6 +279,80 @@ class TestCheckpointEnvelope:
         with pytest.raises(ConfigurationError):
             ensemble.load_state(foreign_payload)
         assert ensemble.n_seen == seen_before
+
+    @pytest.mark.parametrize("change", ["knn-width", "knn-state-mode", "config-knn-mode"])
+    def test_rejected_class_payload_leaves_the_save_state_bytes(self, checkpoint_stream, change):
+        # restored into a fresh detector first: nothing of the live one moves
+        segmenter = api.create("class", window_size=500, scoring_interval=10)
+        segmenter.process(checkpoint_stream[:1_500])
+        payload = segmenter.save_state()
+        before = pickle.dumps(payload)
+        if change == "knn-width":
+            payload["state"]["knn"]["config"]["subsequence_width"] += 1
+        elif change == "knn-state-mode":
+            payload["state"]["knn"]["config"]["mode"] = "fft"
+        else:
+            payload["config"]["knn_mode"] = "recompute"
+        with pytest.raises(ConfigurationError):
+            segmenter.load_state(payload)
+        with pytest.raises(ConfigurationError, match="mode" if "mode" in change else "restore"):
+            api.restore(payload)
+        assert pickle.dumps(segmenter.save_state()) == before
+        assert segmenter.n_seen == segmenter._knn.n_seen == 1_500
+        reference = api.create("class", window_size=500, scoring_interval=10)
+        reference.process(checkpoint_stream)
+        segmenter.process(checkpoint_stream[1_500:])
+        assert segmenter.reports == reference.reports
+
+    def test_rejected_channel_leaves_the_whole_ensemble(self, checkpoint_stream):
+        config = api.MultivariateClaSSConfig(
+            n_channels=2, class_config=api.ClaSSConfig(window_size=500, scoring_interval=10)
+        )
+        values = np.stack([checkpoint_stream, checkpoint_stream[::-1]], axis=1)
+        earlier = api.create("multivariate-class", config)
+        earlier.process(values[:1_200])
+        payload = earlier.save_state()
+        payload["state"]["channels"][1]["state"]["knn"]["config"]["k_neighbours"] = 4
+        ensemble = api.create("multivariate-class", config)
+        ensemble.process(values[:1_500])
+        before = pickle.dumps(ensemble.save_state())
+        with pytest.raises(ConfigurationError, match="cannot restore"):
+            ensemble.load_state(payload)
+        assert pickle.dumps(ensemble.save_state()) == before
+        assert [channel.n_seen for channel in ensemble.segmenters] == [1_500, 1_500]
+
+    def test_rejected_clasp_payload_leaves_the_adapter(self, checkpoint_stream):
+        adapter = api.create("clasp", subsequence_width=20)
+        adapter.process(checkpoint_stream[:300])
+        before = pickle.dumps(adapter.save_state())
+        payload = api.create("clasp", subsequence_width=30).save_state()
+        payload["state"]["values"] = "not numbers"
+        with pytest.raises(ValueError):
+            adapter.load_state(payload)
+        assert pickle.dumps(adapter.save_state()) == before
+
+    @pytest.mark.parametrize("mode", ["streaming", "fft"])
+    def test_floss_checkpoint_naming_a_retired_knn_mode(self, checkpoint_stream, mode):
+        # FLOSS checkpoints pickle its live k-NN, which carried a mode before its removal
+        kwargs = _competitor_kwargs("floss")
+        uninterrupted = api.create("floss", **kwargs)
+        uninterrupted.process(checkpoint_stream)
+        half = api.create("floss", **kwargs)
+        half.process(checkpoint_stream[:1_100])
+        payload = half.save_state()
+        payload["state"]["_knn"].mode = mode
+        blob = pickle.dumps(payload)
+        if mode != "streaming":
+            with pytest.raises(ConfigurationError, match="retired StreamingKNN field 'mode'"):
+                pickle.loads(blob)
+            before = pickle.dumps(half.save_state())
+            with pytest.raises(ConfigurationError, match="retired StreamingKNN field 'mode'"):
+                half.load_state(payload)  # its copy fails before the detector is cleared
+            assert pickle.dumps(half.save_state()) == before
+            return
+        resumed = api.restore(pickle.loads(blob))
+        resumed.process(checkpoint_stream[1_100:])
+        _assert_same_outcome(uninterrupted, resumed)
 
     def test_load_state_rejects_unknown_format(self):
         segmenter = api.create("ddm")

@@ -8,6 +8,29 @@ import pytest
 from repro import api
 from repro.utils.exceptions import ConfigurationError
 
+#: Retired config fields with the values stored documents may still carry:
+#: the four scoring implementations scored identically, and the k-NN
+#: switches' default is the one k-NN of today.
+RETIRED_VALUES = [
+    ("class", "cross_val_implementation", "fast"),
+    ("class", "cross_val_implementation", "vectorised"),
+    ("class", "cross_val_implementation", "incremental"),
+    ("class", "cross_val_implementation", "naive"),
+    ("clasp", "cross_val_implementation", "fast"),
+    ("clasp", "cross_val_implementation", "vectorised"),
+    ("clasp", "cross_val_implementation", "incremental"),
+    ("clasp", "cross_val_implementation", "naive"),
+    ("class", "knn_mode", "streaming"),
+    ("clasp", "knn_backend", "streaming"),
+]
+
+RETIRED_FIELDS = [
+    ("class", "cross_val_implementation"),
+    ("clasp", "cross_val_implementation"),
+    ("class", "knn_mode"),
+    ("clasp", "knn_backend"),
+]
+
 
 class TestRegistry:
     def test_available_covers_class_clasp_and_all_competitors(self):
@@ -106,35 +129,49 @@ class TestConfigs:
         with pytest.raises(ConfigurationError, match="unknown ClaSSConfig fields"):
             api.ClaSSConfig.from_dict({"window_size": 100, "typo_field": 1})
 
-    @pytest.mark.parametrize("key", ["class", "clasp"])
-    @pytest.mark.parametrize("old", ["fast", "vectorised", "incremental", "naive"])
-    def test_retired_scoring_switch_loads_from_stored_documents(self, key, old):
-        # the four retired implementations scored identically: any loads as today's config
+    @pytest.mark.parametrize("key, field, old", RETIRED_VALUES)
+    def test_retired_field_loads_from_stored_documents(self, key, field, old):
         config_cls = api.config_class(key)
-        stored = {**config_cls().to_dict(), "cross_val_implementation": old}
+        stored = {**config_cls().to_dict(), field: old}
         assert config_cls.from_dict(stored) == config_cls()
-        assert "cross_val_implementation" not in api.create(key, stored).config.to_dict()
+        assert field not in api.create(key, stored).config.to_dict()
 
-    @pytest.mark.parametrize("key", ["class", "clasp"])
-    @pytest.mark.parametrize("value", ["bogus", {}, None, 1])
-    def test_retired_scoring_switch_rejects_other_values(self, key, value):
-        with pytest.raises(ConfigurationError, match="retired"):
-            api.config_class(key).from_dict({"cross_val_implementation": value})
-        with pytest.raises(ConfigurationError):
-            api.create(key, {"cross_val_implementation": value})
+    @pytest.mark.parametrize("key, field", RETIRED_FIELDS)
+    @pytest.mark.parametrize("value", ["bogus", {}, None, 1, "recompute", "fft", "bruteforce"])
+    def test_retired_field_rejects_other_values(self, key, field, value):
+        # the retired k-NN modes were not bit-identical to today's k-NN
+        with pytest.raises(ConfigurationError, match=f"retired .* field '{field}'"):
+            api.config_class(key).from_dict({field: value})
+        with pytest.raises(ConfigurationError, match=f"retired .* field '{field}'"):
+            api.create(key, {field: value})
 
-    def test_retired_scoring_switch_has_no_keyword_shim(self):
+    @pytest.mark.parametrize(
+        "key, field, old",
+        [
+            ("class", "cross_val_implementation", "fast"),
+            ("class", "knn_mode", "streaming"),
+            ("clasp", "knn_backend", "streaming"),
+        ],
+    )
+    def test_retired_field_has_no_keyword_shim(self, key, field, old):
+        config_cls = api.config_class(key)
         with pytest.raises(TypeError):
-            api.ClaSSConfig(cross_val_implementation="fast")
-        with pytest.raises(ConfigurationError, match="unknown ClaSSConfig fields"):
-            api.create("class", cross_val_implementation="fast")
+            config_cls(**{field: old})
+        with pytest.raises(ConfigurationError, match=f"unknown {config_cls.__name__} fields"):
+            api.create(key, **{field: old})
         with pytest.raises(ConfigurationError, match="unknown FLOSSConfig fields"):
-            api.FLOSSConfig.from_dict({"cross_val_implementation": "fast"})
+            api.FLOSSConfig.from_dict({field: old})
 
-    def test_retired_field_in_nested_class_config(self):
-        stored = {"class_config": {"window_size": 900, "cross_val_implementation": "naive"}}
+    @pytest.mark.parametrize(
+        "field, old", [("cross_val_implementation", "naive"), ("knn_mode", "streaming")]
+    )
+    def test_retired_field_in_nested_class_config(self, field, old):
+        stored = {"class_config": {"window_size": 900, field: old}}
         config = api.MultivariateClaSSConfig.from_dict(stored)
         assert config.class_config == api.ClaSSConfig(window_size=900)
+        stored["class_config"][field] = "fft"
+        with pytest.raises(ConfigurationError, match=f"retired ClaSSConfig field '{field}'"):
+            api.MultivariateClaSSConfig.from_dict(stored)
 
     def test_from_json_rejects_invalid_document(self):
         with pytest.raises(ConfigurationError, match="invalid ClaSSConfig JSON"):
@@ -164,7 +201,7 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             api.ClaSSConfig(window_size=100, subsequence_width=40).validate()
         with pytest.raises(ConfigurationError):
-            api.ClaSSConfig(knn_mode="bogus").validate()
+            api.ClaSSConfig(kernel_backend="bogus").validate()
         with pytest.raises(ConfigurationError):
             api.BOCDConfig(hazard=2.0).validate()
         with pytest.raises(ConfigurationError):

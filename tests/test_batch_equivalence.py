@@ -24,7 +24,7 @@ from repro.competitors.floss import FLOSS
 from repro.competitors.page_hinkley import PageHinkley
 from repro.core.class_segmenter import ClaSS
 from repro.core.multivariate import MultivariateClaSS
-from repro.core.streaming_knn import KNN_MODES, StreamingKNN
+from repro.core.streaming_knn import StreamingKNN
 from repro.streamengine import run_class_pipeline
 
 #: Chunkings exercised against the per-point reference; deliberately ragged
@@ -218,19 +218,14 @@ def feed_chunked(segmenter, values, chunk_size):
 
 
 class TestStreamingKNNEquivalence:
-    @pytest.mark.parametrize("mode", KNN_MODES)
     @pytest.mark.parametrize("similarity", ("pearson", "euclidean", "cid"))
-    def test_tables_bit_identical_for_any_chunking(self, rng, mode, similarity):
+    def test_tables_bit_identical_for_any_chunking(self, rng, similarity):
         values = stream(rng, 1_500)
-        reference = StreamingKNN(
-            window_size=300, subsequence_width=15, mode=mode, similarity=similarity
-        )
+        reference = StreamingKNN(window_size=300, subsequence_width=15, similarity=similarity)
         for value in values:
             reference.update(float(value))
         for chunk_size in CHUNKINGS:
-            knn = StreamingKNN(
-                window_size=300, subsequence_width=15, mode=mode, similarity=similarity
-            )
+            knn = StreamingKNN(window_size=300, subsequence_width=15, similarity=similarity)
             for start in range(0, values.shape[0], chunk_size):
                 for _ in knn.update_many(values[start : start + chunk_size]):
                     pass
@@ -275,16 +270,7 @@ class TestClaSSEquivalence:
             assert np.array_equal(a._knn.knn_indices, b._knn.knn_indices)
             assert np.array_equal(a._knn.knn_similarities, b._knn.knn_similarities)
 
-    @pytest.mark.parametrize("knn_mode", KNN_MODES)
-    def test_all_knn_modes(self, rng, knn_mode):
-        values = stream(rng)
-        reference, detected = self.reference_run(values, scoring_interval=5, knn_mode=knn_mode)
-        for chunk_size in CHUNKINGS:
-            segmenter = ClaSS(window_size=1_000, scoring_interval=5, knn_mode=knn_mode)
-            assert feed_chunked(segmenter, values, chunk_size) == detected
-            self.assert_identical(reference, segmenter)
-
-    @pytest.mark.parametrize("scoring_interval", (1, 3, 25))
+    @pytest.mark.parametrize("scoring_interval", (1, 3, 5, 25))
     def test_scoring_intervals(self, rng, scoring_interval):
         values = stream(rng)
         reference, detected = self.reference_run(values, scoring_interval=scoring_interval)
@@ -293,21 +279,11 @@ class TestClaSSEquivalence:
             assert feed_chunked(segmenter, values, chunk_size) == detected
             self.assert_identical(reference, segmenter)
 
-    @pytest.mark.parametrize(
-        "scoring_interval, similarity, knn_mode",
-        [
-            (10, "euclidean", "streaming"),
-            (7, "cid", "streaming"),
-            (13, "pearson", "fft"),
-            (10, "pearson", "recompute"),
-        ],
-    )
-    def test_scoring_intervals_other_measures_and_modes(
-        self, rng, scoring_interval, similarity, knn_mode
-    ):
-        # chunked runs advance the k-NN a scoring interval per send(): blocks
-        # for saturated numpy "streaming", per-point steps for the other modes
-        config = dict(scoring_interval=scoring_interval, similarity=similarity, knn_mode=knn_mode)
+    @pytest.mark.parametrize("scoring_interval, similarity", [(10, "euclidean"), (7, "cid")])
+    def test_scoring_intervals_other_measures(self, rng, scoring_interval, similarity):
+        # chunked runs advance the k-NN a scoring interval per send(), in
+        # blocks once the window is saturated
+        config = dict(scoring_interval=scoring_interval, similarity=similarity)
         values = stream(rng)
         reference, detected = self.reference_run(values, **config)
         for chunk_size in CHUNKINGS:

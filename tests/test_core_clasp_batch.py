@@ -11,7 +11,8 @@ from repro.core.cross_val import (
     cross_val_scores_vectorised,
     prediction_thresholds,
 )
-from repro.utils.exceptions import ConfigurationError, NotEnoughDataError
+from repro.core.streaming_knn import exact_knn_bruteforce
+from repro.utils.exceptions import NotEnoughDataError
 
 
 def _two_regime_series(rng, n=1_200, period_a=20, period_b=55):
@@ -24,13 +25,14 @@ def _two_regime_series(rng, n=1_200, period_a=20, period_b=55):
 
 
 class TestConstruction:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            ClaSP(knn_backend="gpu")
-
-    def test_retired_cross_val_keyword_is_rejected(self):
+    @pytest.mark.parametrize(
+        "keyword",
+        [{"cross_val_implementation": "fast"}, {"knn_backend": "streaming"}],
+        ids=["cross_val_implementation", "knn_backend"],
+    )
+    def test_retired_keyword_is_rejected(self, keyword):
         with pytest.raises(TypeError):
-            ClaSP(cross_val_implementation="fast")
+            ClaSP(**keyword)
 
 
 class TestProfile:
@@ -49,13 +51,14 @@ class TestProfile:
 
     def test_bruteforce_and_streaming_backends_agree(self, rng):
         values = _two_regime_series(rng, n=600)
-        profile_a = ClaSP(subsequence_width=20, knn_backend="streaming").profile(values)
-        profile_b = ClaSP(subsequence_width=20, knn_backend="bruteforce").profile(values)
-        # the streaming backend builds neighbours causally with later updates,
-        # so profiles are close but not bitwise identical; the argmax must agree
-        split_a, _ = profile_a.global_maximum()
-        split_b, _ = profile_b.global_maximum()
-        assert abs(split_a - split_b) < 40
+        profile = ClaSP(subsequence_width=20).profile(values)
+        indices, _ = exact_knn_bruteforce(values, 20, 3)
+        brute = cross_val_scores_from_thresholds(prediction_thresholds(indices), exclusion=20)
+        # the streaming k-NN builds neighbours causally with later updates, so
+        # the profiles are close but not bitwise identical; the argmax must agree
+        split, _ = profile.global_maximum()
+        brute_split, _ = brute.best_split()
+        assert abs(split - brute_split) < 40
 
 
 class TestFitPredict:

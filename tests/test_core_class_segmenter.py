@@ -22,10 +22,15 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ClaSS(window_size=100, subsequence_width=40)
 
-    def test_retired_cross_val_keyword_is_rejected(self):
-        # one scoring path: the keyword is gone, with no shim
+    @pytest.mark.parametrize(
+        "keyword",
+        [{"cross_val_implementation": "fast"}, {"knn_mode": "streaming"}],
+        ids=["cross_val_implementation", "knn_mode"],
+    )
+    def test_retired_keyword_is_rejected(self, keyword):
+        # one scoring path and one k-NN path: the keywords are gone, with no shim
         with pytest.raises(TypeError):
-            ClaSS(cross_val_implementation="fast")
+            ClaSS(**keyword)
 
     def test_rejects_bad_score_threshold(self):
         with pytest.raises(ConfigurationError):

@@ -14,8 +14,6 @@ from repro.core.similarity import SIMILARITY_MEASURES, pairwise_similarity_matri
 from repro.core.streaming_knn import (
     BLOCK_ROWS,
     CHANGE_LOG_MAX,
-    FFT_BATCH_MIN,
-    KNN_MODES,
     PADDING_INDEX,
     StreamingKNN,
     exact_knn_bruteforce,
@@ -43,9 +41,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             StreamingKNN(window_size=100, subsequence_width=10, similarity="cosine")
 
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ConfigurationError):
-            StreamingKNN(window_size=100, subsequence_width=10, mode="gpu")
+    def test_retired_mode_keyword_is_rejected(self):
+        # one dot-product path: the keyword is gone, with no shim
+        with pytest.raises(TypeError):
+            StreamingKNN(window_size=100, subsequence_width=10, mode="streaming")
 
     def test_rejects_non_finite_values(self):
         knn = StreamingKNN(window_size=100, subsequence_width=10)
@@ -69,12 +68,13 @@ class TestAgainstBruteForce:
         np.testing.assert_allclose(stream_sims[finite], brute_sims[finite], atol=1e-6)
         assert np.array_equal(np.isfinite(brute_sims), np.isfinite(stream_sims))
 
-    def test_last_profile_is_exact_after_eviction(self, rng):
+    @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
+    def test_last_profile_is_exact_after_eviction(self, rng, measure):
         values = rng.normal(size=400)
         w = 10
-        knn = StreamingKNN(window_size=150, subsequence_width=w, k_neighbours=3)
+        knn = StreamingKNN(window_size=150, subsequence_width=w, k_neighbours=3, similarity=measure)
         ingest(knn, values)
-        expected = pairwise_similarity_matrix(knn.window, w)[-1]
+        expected = pairwise_similarity_matrix(knn.window, w, measure)[-1]
         np.testing.assert_allclose(knn.last_similarity_profile, expected, atol=1e-8)
 
     @given(
@@ -103,95 +103,6 @@ class TestAgainstBruteForce:
         ingest(knn, values)
         expected = pairwise_similarity_matrix(knn.window, w)[-1]
         np.testing.assert_allclose(knn.last_similarity_profile, expected, atol=1e-7)
-
-
-class TestModesAgree:
-    @pytest.mark.parametrize("mode", KNN_MODES)
-    @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
-    def test_profiles_identical_across_modes(self, rng, mode, measure):
-        values = rng.normal(size=300)
-        w = 11
-        reference = StreamingKNN(
-            window_size=120, subsequence_width=w, mode="streaming", similarity=measure
-        )
-        other = StreamingKNN(
-            window_size=120, subsequence_width=w, mode=mode, similarity=measure
-        )
-        for value in values:
-            reference.update(float(value))
-            other.update(float(value))
-        np.testing.assert_allclose(
-            reference.last_similarity_profile, other.last_similarity_profile, atol=1e-8
-        )
-
-    @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
-    def test_fft_agrees_with_recompute(self, rng, measure):
-        values = rng.normal(size=300)
-        w = 11
-        fft = StreamingKNN(window_size=120, subsequence_width=w, mode="fft", similarity=measure)
-        recompute = StreamingKNN(
-            window_size=120, subsequence_width=w, mode="recompute", similarity=measure
-        )
-        ingest(fft, values)
-        ingest(recompute, values)
-        np.testing.assert_allclose(
-            fft.last_similarity_profile, recompute.last_similarity_profile, atol=1e-8
-        )
-
-    @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
-    def test_fft_agrees_with_streaming_after_checkpoint_resume(self, rng, measure):
-        values = rng.normal(size=480)
-        w = 11
-        uninterrupted = StreamingKNN(
-            window_size=120, subsequence_width=w, mode="fft", similarity=measure
-        )
-        ingest(uninterrupted, values)
-        first_half = StreamingKNN(
-            window_size=120, subsequence_width=w, mode="fft", similarity=measure
-        )
-        ingest(first_half, values[:300])
-        resumed = StreamingKNN(
-            window_size=120, subsequence_width=w, mode="fft", similarity=measure
-        )
-        resumed.load_state_dict(first_half.state_dict())
-        ingest(resumed, values[300:])
-        # resume is bit-identical to never having checkpointed ...
-        np.testing.assert_array_equal(
-            uninterrupted.last_similarity_profile, resumed.last_similarity_profile
-        )
-        np.testing.assert_array_equal(uninterrupted.knn_indices, resumed.knn_indices)
-        # ... and the fft profiles stay within tolerance of the exact path
-        streaming = StreamingKNN(
-            window_size=120, subsequence_width=w, mode="streaming", similarity=measure
-        )
-        ingest(streaming, values)
-        np.testing.assert_allclose(
-            uninterrupted.last_similarity_profile, streaming.last_similarity_profile, atol=1e-8
-        )
-
-    @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
-    def test_fft_batch_path_matches_pointwise(self, rng, measure):
-        # chunks >= FFT_BATCH_MIN in steady state take the batched transform;
-        # the per-point loop is the reference — they must be bit-identical
-        values = rng.normal(size=600)
-        w = 11
-        batched = StreamingKNN(
-            window_size=120, subsequence_width=w, mode="fft", similarity=measure
-        )
-        pointwise = StreamingKNN(
-            window_size=120, subsequence_width=w, mode="fft", similarity=measure
-        )
-        split = 200  # past the warm-up: every later chunk runs in steady state
-        ingest(batched, values[:split])
-        for start in range(split, values.shape[0], 2 * FFT_BATCH_MIN):
-            ingest(batched, values[start : start + 2 * FFT_BATCH_MIN])
-        for value in values:
-            pointwise.update(float(value))
-        np.testing.assert_array_equal(
-            batched.last_similarity_profile, pointwise.last_similarity_profile
-        )
-        np.testing.assert_array_equal(batched.knn_indices, pointwise.knn_indices)
-        np.testing.assert_array_equal(batched.knn_similarities, pointwise.knn_similarities)
 
 
 class TestBookkeeping:
@@ -510,20 +421,19 @@ class TestSendAndBlocks:
         assert bool(calls) == (limit >= 60 - 4 + 1)
 
     @pytest.mark.parametrize("backend", ("numpy", "loops"))
-    @pytest.mark.parametrize("mode", KNN_MODES)
-    def test_send_advances_n_observations(self, rng, backend, mode):
+    def test_send_advances_n_observations(self, rng, backend):
         values = rng.normal(size=260)
-        knn = StreamingKNN(window_size=40, subsequence_width=5, mode=mode, kernel_backend=backend)
+        knn = StreamingKNN(window_size=40, subsequence_width=5, kernel_backend=backend)
         steps = knn.update_many(values)
         assert next(steps) is False  # one observation, still warming up
         assert knn.n_seen == 1
         assert steps.send(3) is False
         assert knn.n_seen == 4
-        assert steps.send(FFT_BATCH_MIN + 100) is True  # across the batch-FFT sub-chunk
-        assert knn.n_seen == 4 + FFT_BATCH_MIN + 100
+        assert steps.send(132) is True
+        assert knn.n_seen == 4 + 132
         # the same generator stepped by next() (the whole chunk is in both
         # buffers already) reaches the same state
-        reference = StreamingKNN(window_size=40, subsequence_width=5, mode=mode)
+        reference = StreamingKNN(window_size=40, subsequence_width=5)
         pointwise = reference.update_many(values)
         for _ in range(knn.n_seen):
             next(pointwise)
@@ -539,10 +449,9 @@ class TestSendAndBlocks:
         with pytest.raises(ConfigurationError):
             steps.send(0)
 
-    @pytest.mark.parametrize("mode", KNN_MODES)
-    def test_send_through_yield_from_wrapper(self, rng, mode):
+    def test_send_through_yield_from_wrapper(self, rng):
         values = block_values("periodic", 500, 11) + rng.normal(0.0, 1e-3, 500)
-        config = dict(window_size=70, subsequence_width=6, mode=mode, kernel_backend="numpy")
+        config = dict(window_size=70, subsequence_width=6, kernel_backend="numpy")
         wrapped = StreamingKNN(**config)
         advance(pass_through(wrapped.update_many(values)), [10, 1, 47], values.shape[0])
         reference = StreamingKNN(**config)
@@ -590,7 +499,6 @@ class TestThresholdsNeverFall:
 
     @given(
         backend=st.sampled_from(("numpy", "loops")),
-        mode=st.sampled_from(KNN_MODES),
         k=st.integers(min_value=1, max_value=4),
         kind=st.sampled_from(("noise", "quantised", "flat", "periodic")),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -600,11 +508,11 @@ class TestThresholdsNeverFall:
         ),
     )
     @settings(max_examples=40, deadline=None)
-    def test_surviving_thresholds_never_fall(self, backend, mode, k, kind, seed, schedule):
+    def test_surviving_thresholds_never_fall(self, backend, k, kind, seed, schedule):
         # several window turnovers: evictions, buffer and table compactions
         values = block_values(kind, 330, seed)
         knn = StreamingKNN(
-            window_size=48, subsequence_width=4, k_neighbours=k, mode=mode, kernel_backend=backend
+            window_size=48, subsequence_width=4, k_neighbours=k, kernel_backend=backend
         )
         steps = knn.update_many(values)
         next(steps)
@@ -816,3 +724,43 @@ class TestScaledStatisticsAgainstARestore:
         restored.load_state_dict(payload)
         ingest(restored, values[550:])
         assert state_bytes(restored) == state_bytes(fresh)
+
+
+class TestRetiredMode:
+    """States and pickles written while the ``"recompute"``/``"fft"`` modes existed."""
+
+    @staticmethod
+    def saved_with_mode(mode: str) -> tuple[StreamingKNN, dict, bytes]:
+        """A k-NN, its state and its pickle, each naming ``mode`` as an older version did."""
+        knn = StreamingKNN(window_size=60, subsequence_width=5)
+        ingest(knn, block_values("periodic", 200, 4))
+        state = knn.state_dict()
+        state["config"]["mode"] = mode
+        knn.mode = mode
+        blob = pickle.dumps(knn)
+        del knn.mode
+        return knn, state, blob
+
+    def test_streaming_mode_restores_and_unpickles_identically(self):
+        knn, state, blob = self.saved_with_mode("streaming")
+        values = block_values("flat", 150, 5)
+        restored = StreamingKNN(window_size=60, subsequence_width=5)
+        restored.load_state_dict(state)
+        unpickled = pickle.loads(blob)
+        assert not hasattr(unpickled, "mode")
+        for resumed in (restored, unpickled):
+            ingest(resumed, values)
+        ingest(knn, values)
+        assert state_bytes(restored) == state_bytes(knn) == state_bytes(unpickled)
+        assert "mode" not in knn.state_dict()["config"]
+
+    @pytest.mark.parametrize("mode", ("recompute", "fft", "gpu"))
+    def test_other_modes_are_rejected(self, mode):
+        _, state, blob = self.saved_with_mode(mode)
+        fresh = StreamingKNN(window_size=60, subsequence_width=5)
+        before = state_bytes(fresh)
+        with pytest.raises(ConfigurationError, match="retired StreamingKNN field 'mode'"):
+            fresh.load_state_dict(state)
+        assert state_bytes(fresh) == before
+        with pytest.raises(ConfigurationError, match="retired StreamingKNN field 'mode'"):
+            pickle.loads(blob)

@@ -36,7 +36,7 @@ from repro.core.similarity import (
     pearson_from_dot_products,
     similarity_profile,
 )
-from repro.core.streaming_knn import KNN_MODES, PADDING_INDEX, STD_FLOOR, StreamingKNN
+from repro.core.streaming_knn import PADDING_INDEX, STD_FLOOR, StreamingKNN
 from repro.utils.exceptions import ConfigurationError
 
 HAS_NUMBA = "numba" in available_backends()
@@ -470,13 +470,10 @@ class TestStreamingKNNBackendEquivalence:
     def backend(self, request):
         return request.param
 
-    @pytest.mark.parametrize("mode", KNN_MODES)
     @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
-    def test_tables_bit_identical(self, rng, backend, mode, measure):
+    def test_tables_bit_identical(self, rng, backend, measure):
         values = rng.normal(size=700).cumsum()
-        kwargs = dict(
-            window_size=300, subsequence_width=12, k_neighbours=3, similarity=measure, mode=mode
-        )
+        kwargs = dict(window_size=300, subsequence_width=12, k_neighbours=3, similarity=measure)
         reference = StreamingKNN(kernel_backend="numpy", **kwargs)
         candidate = StreamingKNN(kernel_backend=backend, **kwargs)
         ingest(reference, values)

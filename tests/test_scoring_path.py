@@ -91,11 +91,10 @@ def assert_cache_consistent(knn: StreamingKNN) -> None:
 
 class TestThresholdCacheConsistency:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    @pytest.mark.parametrize("mode", ["streaming", "recompute"])
-    def test_cache_through_evictions_and_compactions(self, rng, k, mode):
+    def test_cache_through_evictions_and_compactions(self, rng, k):
         # stream length covers several window turnovers: the backing array
         # compacts every d evictions and the k-NN tables every m evictions
-        knn = StreamingKNN(window_size=180, subsequence_width=12, k_neighbours=k, mode=mode)
+        knn = StreamingKNN(window_size=180, subsequence_width=12, k_neighbours=k)
         values = rng.normal(size=800)
         for position, _ in enumerate(knn.update_many(values)):
             if position % 29 == 0:
@@ -352,16 +351,10 @@ def oracle_checked_passes(*oracles):
 class TestChangePointIdentity:
     """Pinned: every scoring pass equals the reference cross-validations."""
 
-    @pytest.mark.parametrize("knn_mode", ["streaming", "recompute", "fft"])
     @pytest.mark.parametrize("scoring_interval", [1, 7])
-    def test_every_pass_matches_vectorised_and_incremental(self, rng, knn_mode, scoring_interval):
+    def test_every_pass_matches_vectorised_and_incremental(self, rng, scoring_interval):
         values = two_regime_stream(rng)
-        segmenter = ClaSS(
-            window_size=650,
-            subsequence_width=20,
-            scoring_interval=scoring_interval,
-            knn_mode=knn_mode,
-        )
+        segmenter = ClaSS(window_size=650, subsequence_width=20, scoring_interval=scoring_interval)
         with oracle_checked_passes(
             cross_val_scores_vectorised, cross_val_scores_incremental
         ) as checked:

@@ -176,13 +176,17 @@ class TestMalformedInput:
             assert status == 400
             assert body["error"]["code"] == "bad-config"
 
-            # wrongly typed values, and values the retired scoring switch never had
+            # wrongly typed values, and values the retired fields never had
+            # (the retired k-NN modes were not bit-identical to today's k-NN)
             for detector, config in [
                 ("class", {"score_threshold": {}}),
                 ("class", {"significance_level": "x"}),
                 ("class", {"sample_size": "x"}),
                 ("class", {"cross_val_implementation": "bogus"}),
                 ("class", {"cross_val_implementation": {}}),
+                ("class", {"knn_mode": "fft"}),
+                ("class", {"knn_mode": "recompute"}),
+                ("clasp", {"knn_backend": "bruteforce"}),
                 ("multivariate-class", {"min_votes": "x"}),
                 ("page-hinkley", {"threshold": {}}),
             ]:
@@ -191,14 +195,20 @@ class TestMalformedInput:
                 )
                 assert status == 400, (detector, config, body)
                 assert body["error"]["code"] == "bad-config"
+                (field,) = config
+                if field in ("knn_mode", "knn_backend"):
+                    assert f"field {field!r} must be one of" in body["error"]["message"]
             await _assert_alive(client)
 
         _run(_with_service(scenario))
 
-    def test_spec_with_retired_scoring_switch_is_accepted(self):
-        # specs written while the switch existed still create their stream
+    @pytest.mark.parametrize(
+        "field, old", [("cross_val_implementation", "naive"), ("knn_mode", "streaming")]
+    )
+    def test_spec_with_a_retired_field_is_accepted(self, field, old):
+        # specs written while the field existed still create their stream
         async def scenario(client, service):
-            config = {**CONFIG, "cross_val_implementation": "naive"}
+            config = {**CONFIG, field: old}
             status, body = await client.request("POST", "/streams/old", {"config": config})
             assert status == 201
             status, body = await client.request(

@@ -129,9 +129,10 @@ class TestResegmentBitIdentity:
         "older",
         [
             lambda config: config.update(cross_val_implementation="fast"),  # a retired field
+            lambda config: config.update(knn_mode="streaming"),  # another one
             lambda config: config.pop("relearn_width"),  # before a defaulted field existed
         ],
-        ids=["retired-field", "missing-defaulted-field"],
+        ids=["retired-field", "retired-knn-mode", "missing-defaulted-field"],
     )
     def test_run_stored_by_an_older_version_still_replays_from_a_checkpoint(
         self, store, rng, older
@@ -156,6 +157,9 @@ class TestResegmentBitIdentity:
             envelope = read_payload_file(snapshot)
             older(envelope["config"])
             older(envelope["state"]["config"])
+            knn = envelope["state"]["state"]["knn"]
+            if "knn_mode" in envelope["state"]["config"] and knn is not None:
+                knn["config"]["mode"] = "streaming"  # the k-NN's state named it too
             write_payload_file(snapshot, envelope)
 
         audit = store.resegment("cls", from_t=1_500)
